@@ -21,8 +21,6 @@ Run with: ``python examples/harry_traffic_survey.py``
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import (
     Aggregate,
     PublicPreferences,
@@ -46,10 +44,10 @@ def main() -> None:
     # frames sampled; the correction set keeps the bounds trustworthy
     # under this non-random intervention.
     correction = system.build_correction_set(query)
-    profile = system.profiler.profile_resolution(
+    profile = system.profiler.profile_resolution_seeded(
         query,
         tuple(system.candidates(resolution_count=8).resolutions),
-        np.random.default_rng(7),
+        7,
         fraction=0.5,
         correction=correction,
     )

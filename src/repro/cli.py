@@ -186,7 +186,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         workers=args.workers,
-        vectorized=not args.no_vectorized,
     )
     query = system.query(_parse_aggregate(args.aggregate))
 
@@ -818,11 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_parse_workers, default=1,
         help="worker processes for profile generation, or 'auto' to defer "
              "to the host (the hypercube is bit-identical for any value)",
-    )
-    profile.add_argument(
-        "--no-vectorized", action="store_true",
-        help="price trials with the per-trial loops instead of the batch "
-             "kernels (same samples, same decisions; numerics within 1e-9)",
     )
     profile.add_argument(
         "--cache-dir", default=None,

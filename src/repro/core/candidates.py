@@ -23,7 +23,7 @@ class CandidateGrid:
     """The intervention candidates the profiler will price.
 
     Attributes:
-        fractions: Sampling fractions, ascending.
+        fractions: Sampling fractions, strictly ascending.
         resolutions: Resolutions, ascending side order (native last).
         removals: Restricted-class combinations; ``()`` means no removal.
     """
@@ -42,8 +42,11 @@ class CandidateGrid:
                 "candidate grid needs at least one removal combination "
                 "(use an empty tuple for 'no removal')"
             )
-        if list(self.fractions) != sorted(self.fractions):
-            raise ConfigurationError("fractions must be ascending")
+        fractions = self.fractions
+        if any(low >= high for low, high in zip(fractions, fractions[1:])):
+            raise ConfigurationError(
+                f"fractions must be strictly ascending, got {self.fractions}"
+            )
         sides = [resolution.side for resolution in self.resolutions]
         if sides != sorted(sides):
             raise ConfigurationError("resolutions must be in ascending side order")

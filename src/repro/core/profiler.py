@@ -15,32 +15,26 @@ settings whose full-corpus outputs were served by the persistent detector
 cache (:mod:`repro.detection.diskcache`) are already paid for and are not
 recorded.
 
-Two execution styles coexist:
+Every entry point is seeded: trial ``t`` of setting ``u`` draws from
+:func:`repro.system.executor.child_rng` keyed on ``(root, u, t)``, so a
+result is a pure function of the root seed -- independent of evaluation
+order and therefore of the worker count when a
+:class:`~repro.system.executor.ParallelExecutor` fans settings out over
+processes.
 
-- the original ``rng``-threaded methods (``profile_sampling`` etc.), whose
-  results depend on generator state and call order; and
-- ``*_seeded`` variants that derive every ``(setting, trial)`` stream from
-  a root seed via :func:`repro.system.executor.child_rng`, making results
-  independent of evaluation order — and therefore of the worker count when
-  a :class:`~repro.system.executor.ParallelExecutor` fans settings out
-  over processes.
-
-Internally a sweep computes every fraction grid point from ONE gather of
-the trial's maximal prefix sample: because prefix samples are nested,
-``full[eligible[perm[:n]]]`` equals ``(full[eligible[perm]])[:n]``, so one
-pass of prefix aggregates serves the whole ascending fraction grid.
-
-On top of that reuse, the default ``vectorized=True`` execution stacks the
-per-trial prefix gathers into one ``(trials, max_size)``
-:class:`~repro.stats.prefix_moments.PrefixMoments` matrix and prices every
-fraction with the batch estimator kernels
-(:func:`repro.estimators.dispatch.estimate_batch`'s machinery), collapsing
-the per-setting cost from O(trials × fractions × n) of Python-level
-estimator calls to O(trials × n) of numpy cumulative sums. The
-``vectorized=False`` path keeps the original per-(fraction, trial) loops;
-both paths draw identical samples, record identical ledger totals, make
-identical early-stopping decisions, and agree on values/bounds within the
-repo's 1e-9 numerical-equivalence policy (differential tests pin this).
+A sweep computes every fraction grid point from ONE gather of the trials'
+maximal prefix samples: because prefix samples are nested,
+``full[eligible[perm[:n]]]`` equals ``(full[eligible[perm]])[:n]``. The
+gathers stack into one ``(trials, max_size)``
+:class:`~repro.stats.prefix_moments.PrefixMoments` matrix, and the batch
+estimator kernels price every fraction from its cumulative sums, so a
+setting costs O(trials x n) of numpy work instead of O(trials x fractions
+x n) of Python-level estimator calls. Quantile aggregates price each trial
+with the scalar estimator (their distinct-value tables have no cumulative
+form). A scalar oracle in the test suite re-draws every trial and prices
+each ``(fraction, trial)`` slice with the public estimators; the kernels
+agree with it within 1e-9, with identical ledger totals and early-stop
+decisions.
 
 Bound selection per setting:
 
@@ -68,7 +62,7 @@ from repro.estimators.quantile import SmokescreenQuantileEstimator
 from repro.estimators.repair import ProfileRepair
 from repro.estimators.smokescreen import SmokescreenMeanEstimator
 from repro.estimators.variance import SmokescreenVarianceEstimator
-from repro.interventions.plan import DegradedSample, InterventionPlan
+from repro.interventions.plan import InterventionPlan
 from repro.query.processor import QueryProcessor
 from repro.query.query import AggregateQuery
 from repro.stats.prefix_moments import PrefixMoments
@@ -138,7 +132,6 @@ class DegradationProfiler:
         processor: QueryProcessor,
         trials: int = 1,
         ledger: InvocationLedger | None = None,
-        vectorized: bool = True,
     ) -> None:
         """Create a profiler.
 
@@ -148,17 +141,12 @@ class DegradationProfiler:
                 1 matches production use, larger values smooth the curves
                 as the paper's experiments do (100 trials).
             ledger: Optional invocation ledger for cost accounting.
-            vectorized: Price all trials of a fraction with the batch
-                estimator kernels (the default); False keeps the original
-                per-(fraction, trial) loops, primarily for differential
-                testing of the kernels.
         """
         if trials <= 0:
             raise ConfigurationError(f"trials must be positive, got {trials}")
         self._processor = processor
         self._trials = trials
         self._ledger = ledger
-        self._vectorized = bool(vectorized)
         self._mean_estimator = SmokescreenMeanEstimator()
         self._quantile_estimator = SmokescreenQuantileEstimator()
         self._variance_estimator = SmokescreenVarianceEstimator()
@@ -207,19 +195,6 @@ class DegradationProfiler:
             return False
         return plan.is_random_for(query.dataset)
 
-    def _estimate_sample(
-        self,
-        query: AggregateQuery,
-        sample: DegradedSample,
-        plan_is_random: bool,
-        correction: CorrectionSet | None,
-    ) -> Estimate:
-        """Bound for one drawn sample, applying the correction-set policy."""
-        values = self._processor.values_for_sample(query, sample)
-        return self._estimate_values(
-            query, values, sample.universe_size, plan_is_random, correction
-        )
-
     def _estimate_values(
         self,
         query: AggregateQuery,
@@ -230,8 +205,8 @@ class DegradationProfiler:
     ) -> Estimate:
         """Bound for already-gathered sample values.
 
-        Split out of :meth:`_estimate_sample` so fraction sweeps can slice
-        one gathered prefix array instead of re-gathering per fraction.
+        The scalar path: quantile aggregates price each trial here, and so
+        do trial samples too ragged to stack into a prefix matrix.
         """
         population = query.dataset.frame_count
         if query.aggregate.is_mean_family or query.aggregate.is_variance:
@@ -304,9 +279,8 @@ class DegradationProfiler:
 
         Prices the length-``size`` prefix of every trial row at once with
         the estimators' batch kernels, applying the same correction-set
-        policy. The correction estimate is computed once per call instead
-        of once per trial — it only depends on the correction set, so the
-        per-trial recomputation of the loop path is pure redundancy.
+        policy. The correction estimate is computed once per call: it
+        depends only on the correction set, not on the trial.
 
         Quantile aggregates keep the scalar path per trial (their
         distinct-value-table estimate has no cumulative form); the batch
@@ -409,111 +383,6 @@ class DegradationProfiler:
             correction_estimate,
         )
 
-    def estimate_plan(
-        self,
-        query: AggregateQuery,
-        plan: InterventionPlan,
-        rng: np.random.Generator,
-        correction: CorrectionSet | None = None,
-    ) -> PointEstimate:
-        """Price a single degradation setting (averaged over trials).
-
-        Args:
-            query: The query to profile.
-            plan: The degradation setting.
-            rng: Randomness for the trial samples.
-            correction: Optional correction set for repair.
-
-        Returns:
-            The averaged value/bound at the setting. The reported ``n`` is
-            the maximum sample size over trials (trustworthy even if a
-            plan yields trial-varying eligible sets).
-        """
-        plan_is_random = self._plan_is_random(query, plan)
-        if self._vectorized:
-            samples = []
-            for _ in range(self._trials):
-                sample = plan.draw(query.dataset, rng, self._processor.suite)
-                self._record_sampled(
-                    query, sample.resolution, sample.quality, sample.size
-                )
-                samples.append(sample)
-            return self._point_from_samples(
-                query, samples, plan_is_random, correction
-            )
-        values_sum = 0.0
-        bounds_sum = 0.0
-        n = 0
-        for _ in range(self._trials):
-            sample = plan.draw(query.dataset, rng, self._processor.suite)
-            self._record_sampled(
-                query, sample.resolution, sample.quality, sample.size
-            )
-            estimate = self._estimate_sample(
-                query, sample, plan_is_random, correction
-            )
-            values_sum += estimate.value
-            bounds_sum += estimate.error_bound
-            n = max(n, estimate.n)
-        return PointEstimate(
-            value=values_sum / self._trials,
-            error_bound=bounds_sum / self._trials,
-            n=n,
-        )
-
-    def _point_from_samples(
-        self,
-        query: AggregateQuery,
-        samples: list[DegradedSample],
-        plan_is_random: bool,
-        correction: CorrectionSet | None,
-    ) -> PointEstimate:
-        """Price drawn trial samples together via the batch kernels.
-
-        Trials of one plan share the eligible universe, so their samples
-        have equal sizes and stack into a prefix matrix; if a plan ever
-        yields trial-varying sets, the per-trial scalar path takes over
-        (and the reported ``n`` is the maximum across trials).
-        """
-        values_list = [
-            self._processor.values_for_sample(query, sample)
-            for sample in samples
-        ]
-        sizes = {array.size for array in values_list}
-        universes = {sample.universe_size for sample in samples}
-        if len(sizes) == 1 and len(universes) == 1:
-            n = next(iter(sizes))
-            moments = PrefixMoments(np.stack(values_list))
-            values, bounds = self._estimate_prefix_batch(
-                query,
-                moments,
-                n,
-                next(iter(universes)),
-                plan_is_random,
-                correction,
-            )
-            return PointEstimate(
-                value=float(values.mean()),
-                error_bound=float(bounds.mean()),
-                n=int(n),
-            )
-        values = np.empty(len(samples))
-        bounds = np.empty(len(samples))
-        n = 0
-        for t, sample in enumerate(samples):
-            estimate = self._estimate_values(
-                query, values_list[t], sample.universe_size,
-                plan_is_random, correction,
-            )
-            values[t] = estimate.value
-            bounds[t] = estimate.error_bound
-            n = max(n, estimate.n)
-        return PointEstimate(
-            value=float(values.mean()),
-            error_bound=float(bounds.mean()),
-            n=n,
-        )
-
     def estimate_plan_seeded(
         self,
         query: AggregateQuery,
@@ -540,274 +409,43 @@ class DegradationProfiler:
             the maximum sample size over trials.
         """
         plan_is_random = self._plan_is_random(query, plan)
-        if self._vectorized:
-            with telemetry.span(
-                "profiler.plan", unit=unit_index, trials=self._trials
-            ):
-                samples = []
-                for t in range(self._trials):
-                    rng = child_rng(root, unit_index, t)
-                    sample = plan.draw(query.dataset, rng, self._processor.suite)
-                    self._record_sampled(
-                        query, sample.resolution, sample.quality, sample.size
-                    )
-                    samples.append(sample)
-                telemetry.count("profiler.trials_priced", self._trials)
-                return self._point_from_samples(
-                    query, samples, plan_is_random, correction
+        with telemetry.span("profiler.plan", unit=unit_index, trials=self._trials):
+            samples = []
+            for t in range(self._trials):
+                rng = child_rng(root, unit_index, t)
+                sample = plan.draw(query.dataset, rng, self._processor.suite)
+                self._record_sampled(
+                    query, sample.resolution, sample.quality, sample.size
                 )
-        values = np.empty(self._trials)
-        bounds = np.empty(self._trials)
-        n = 0
-        for t in range(self._trials):
-            rng = child_rng(root, unit_index, t)
-            sample = plan.draw(query.dataset, rng, self._processor.suite)
-            self._record_sampled(
-                query, sample.resolution, sample.quality, sample.size
-            )
-            estimate = self._estimate_sample(
-                query, sample, plan_is_random, correction
-            )
-            values[t] = estimate.value
-            bounds[t] = estimate.error_bound
-            n = max(n, estimate.n)
-        telemetry.count("profiler.trials_priced", self._trials)
+                samples.append(sample)
+            telemetry.count("profiler.trials_priced", self._trials)
+            arrays = [
+                self._processor.values_for_sample(query, sample)
+                for sample in samples
+            ]
+            n = max(array.size for array in arrays)
+            universes = {sample.universe_size for sample in samples}
+            if len({array.size for array in arrays}) == 1 and len(universes) == 1:
+                # Trials of one plan share the eligible universe, so their
+                # samples stack into one prefix matrix.
+                values, bounds = self._estimate_prefix_batch(
+                    query, PrefixMoments(np.stack(arrays)), n, universes.pop(),
+                    plan_is_random, correction,
+                )
+            else:
+                # A plan with trial-varying eligible sets: price each trial.
+                estimates = [
+                    self._estimate_values(
+                        query, array, sample.universe_size,
+                        plan_is_random, correction,
+                    )
+                    for array, sample in zip(arrays, samples)
+                ]
+                values = np.array([estimate.value for estimate in estimates])
+                bounds = np.array([estimate.error_bound for estimate in estimates])
         return PointEstimate(
-            value=float(values.mean()),
-            error_bound=float(bounds.mean()),
-            n=n,
+            value=float(values.mean()), error_bound=float(bounds.mean()), n=int(n)
         )
-
-    def _sweep_core(
-        self,
-        query: AggregateQuery,
-        fractions: tuple[float, ...],
-        resolution: Resolution | None,
-        removal: tuple[ObjectClass, ...],
-        correction: CorrectionSet | None,
-        samplers: list[ProgressiveSampler],
-        early_stop_tolerance: float | None,
-    ) -> list[SweptFraction]:
-        """Evaluate ascending fractions from one prefix gather per trial.
-
-        The maximal prefix sample's values are gathered once per trial;
-        every fraction's values are a slice of that array (prefix samples
-        are nested), so the whole grid costs one full-corpus gather plus
-        cheap per-fraction slices — identical results to re-gathering at
-        each fraction, without the redundant index arithmetic.
-
-        Returns one :class:`SweptFraction` per evaluated fraction;
-        fractions skipped by early stopping are absent.
-        """
-        if list(fractions) != sorted(fractions):
-            raise ConfigurationError("fractions must be ascending for reuse")
-        if not fractions:
-            return []
-        with telemetry.span(
-            "profiler.sweep",
-            resolution=resolution.side if resolution is not None else "native",
-            removal=len(removal),
-            fractions=len(fractions),
-            trials=len(samplers),
-        ):
-            return self._sweep_core_timed(
-                query, fractions, resolution, removal, correction, samplers,
-                early_stop_tolerance,
-            )
-
-    def _sweep_core_timed(
-        self,
-        query: AggregateQuery,
-        fractions: tuple[float, ...],
-        resolution: Resolution | None,
-        removal: tuple[ObjectClass, ...],
-        correction: CorrectionSet | None,
-        samplers: list[ProgressiveSampler],
-        early_stop_tolerance: float | None,
-    ) -> list[SweptFraction]:
-        """:meth:`_sweep_core`'s body, inside its telemetry span."""
-        base_plan = InterventionPlan.from_knobs(p=resolution, c=removal)
-        eligible = base_plan.eligible_indices(query.dataset, self._processor.suite)
-        effective_resolution = base_plan.effective_resolution(query.dataset)
-        quality = base_plan.quality
-        sizes = [SampleDesign(eligible.size, f).size for f in fractions]
-        max_size = max(sizes)
-
-        with telemetry.span(
-            "profiler.gather", eligible=int(eligible.size), max_size=max_size
-        ):
-            full_values = self._processor.frame_values(
-                query, effective_resolution, quality
-            )
-            # One (trials, max_size) fancy index instead of a gather per
-            # trial; row t is exactly
-            # full_values[eligible[samplers[t].prefix(...)]].
-            prefix_matrix = np.stack(
-                [sampler.prefix(max_size) for sampler in samplers]
-            )
-            value_matrix = full_values[eligible[prefix_matrix]]
-        trial_values = list(value_matrix)
-        # The fraction knob never changes the randomness classification
-        # (frame sampling is always the random intervention), so classify
-        # the setting once.
-        plan_is_random = self._plan_is_random(
-            query,
-            InterventionPlan.from_knobs(f=fractions[0], p=resolution, c=removal),
-        )
-
-        trials = len(samplers)
-        with telemetry.span(
-            "profiler.price",
-            trials=trials,
-            fractions=len(fractions),
-            vectorized=self._vectorized,
-        ):
-            if self._vectorized:
-                return self._sweep_grid_vectorized(
-                    query,
-                    fractions,
-                    sizes,
-                    effective_resolution,
-                    quality,
-                    value_matrix,
-                    int(eligible.size),
-                    plan_is_random,
-                    correction,
-                    early_stop_tolerance,
-                )
-            processed = [0] * trials
-            results: list[SweptFraction] = []
-            previous_bound: float | None = None
-            for fraction, size in zip(fractions, sizes):
-                values = np.empty(trials)
-                bounds = np.empty(trials)
-                for t in range(trials):
-                    self._record_sampled(
-                        query,
-                        effective_resolution,
-                        quality,
-                        max(0, size - processed[t]),
-                    )
-                    processed[t] = max(processed[t], size)
-                    estimate = self._estimate_values(
-                        query,
-                        trial_values[t][:size],
-                        int(eligible.size),
-                        plan_is_random,
-                        correction,
-                    )
-                    values[t] = estimate.value
-                    bounds[t] = estimate.error_bound
-                swept = SweptFraction(
-                    fraction=fraction, values=values, bounds=bounds, size=size
-                )
-                results.append(swept)
-                telemetry.count("profiler.trials_priced", trials)
-                mean_bound = float(bounds.mean())
-                if (
-                    early_stop_tolerance is not None
-                    and previous_bound is not None
-                    and abs(previous_bound - mean_bound) < early_stop_tolerance
-                ):
-                    telemetry.count("profiler.early_stop")
-                    break
-                previous_bound = mean_bound
-            return results
-
-    def _sweep_grid_vectorized(
-        self,
-        query: AggregateQuery,
-        fractions: tuple[float, ...],
-        sizes: list[int],
-        resolution: Resolution,
-        quality: float,
-        value_matrix: np.ndarray,
-        universe_size: int,
-        plan_is_random: bool,
-        correction: CorrectionSet | None,
-        early_stop_tolerance: float | None,
-    ) -> list[SweptFraction]:
-        """The fraction grid on the prefix-moment kernel.
-
-        One :class:`~repro.stats.prefix_moments.PrefixMoments` pass over
-        the stacked trial matrix serves every fraction as O(trials)
-        slices. Ledger updates are batched per fraction — all trials share
-        the size trajectory, so ``new_frames × trials`` in one record call
-        yields exactly the loop path's totals — and early stopping walks
-        the ascending fractions in the same order with the same mean-bound
-        rule, so the evaluated set matches the loop path's.
-        """
-        moments = PrefixMoments(value_matrix)
-        trials = int(value_matrix.shape[0])
-        processed = 0
-        results: list[SweptFraction] = []
-        previous_bound: float | None = None
-        for fraction, size in zip(fractions, sizes):
-            new_frames = max(0, size - processed)
-            self._record_sampled(query, resolution, quality, new_frames * trials)
-            processed = max(processed, size)
-            values, bounds = self._estimate_prefix_batch(
-                query, moments, size, universe_size, plan_is_random, correction
-            )
-            swept = SweptFraction(
-                fraction=fraction,
-                values=np.asarray(values, dtype=float),
-                bounds=np.asarray(bounds, dtype=float),
-                size=size,
-            )
-            results.append(swept)
-            telemetry.count("profiler.trials_priced", trials)
-            mean_bound = float(swept.bounds.mean())
-            if (
-                early_stop_tolerance is not None
-                and previous_bound is not None
-                and abs(previous_bound - mean_bound) < early_stop_tolerance
-            ):
-                telemetry.count("profiler.early_stop")
-                break
-            previous_bound = mean_bound
-        return results
-
-    @staticmethod
-    def _sweep_max_size(universe: int, fractions: tuple[float, ...]) -> int | None:
-        """The largest design size a fraction sweep will request.
-
-        Passed to :class:`ProgressiveSampler` so each trial draws only the
-        prefix the sweep can actually consume (O(max_size) instead of a
-        full O(universe) permutation). None when the grid is empty or
-        malformed — the sweep core raises its own error then, and the
-        sampler falls back to the full permutation meanwhile.
-        """
-        if not fractions:
-            return None
-        top = max(fractions)
-        if not 0.0 < top <= 1.0:
-            return None
-        return SampleDesign(universe, top).size
-
-    def _sweep_fractions(
-        self,
-        query: AggregateQuery,
-        fractions: tuple[float, ...],
-        resolution: Resolution | None,
-        removal: tuple[ObjectClass, ...],
-        correction: CorrectionSet | None,
-        rng: np.random.Generator,
-        early_stop_tolerance: float | None,
-    ) -> list[tuple[float, PointEstimate]]:
-        """The sweep over sequential-``rng`` trial samplers (legacy path)."""
-        base_plan = InterventionPlan.from_knobs(p=resolution, c=removal)
-        eligible = base_plan.eligible_indices(query.dataset, self._processor.suite)
-        max_size = self._sweep_max_size(int(eligible.size), fractions)
-        samplers = [
-            ProgressiveSampler(eligible.size, rng, max_size=max_size)
-            for _ in range(self._trials)
-        ]
-        swept = self._sweep_core(
-            query, fractions, resolution, removal, correction, samplers,
-            early_stop_tolerance,
-        )
-        return [(item.fraction, item.point()) for item in swept]
 
     def sweep_fractions_seeded(
         self,
@@ -827,9 +465,17 @@ class DegradationProfiler:
         unit_index, t)``; results are independent of which process runs
         the sweep and which other trials it shares the unit with.
 
+        The maximal prefix sample's values are gathered once for all
+        trials; every fraction's values are a prefix of that matrix
+        (prefix samples are nested), so one
+        :class:`~repro.stats.prefix_moments.PrefixMoments` pass prices the
+        whole ascending grid as O(trials) slices. Ledger updates are
+        batched per fraction: all trials share the size trajectory, so
+        ``new_frames × trials`` is recorded in one call.
+
         Args:
             query: The query to profile.
-            fractions: Ascending fraction candidates.
+            fractions: Strictly ascending fraction candidates.
             resolution: Fixed resolution knob (None = native).
             removal: Fixed restricted classes.
             correction: Optional correction set.
@@ -842,193 +488,98 @@ class DegradationProfiler:
                 merging, on the all-trials mean).
 
         Returns:
-            Per-fraction per-trial results, in ``trial_indices`` order.
+            Per-fraction per-trial results, in ``trial_indices`` order;
+            fractions skipped by early stopping are absent.
         """
-        base_plan = InterventionPlan.from_knobs(p=resolution, c=removal)
-        eligible = base_plan.eligible_indices(query.dataset, self._processor.suite)
-        max_size = self._sweep_max_size(int(eligible.size), fractions)
-        samplers = [
-            ProgressiveSampler(
-                eligible.size, child_rng(root, unit_index, t), max_size=max_size
+        fractions = tuple(fractions)
+        if any(low >= high for low, high in zip(fractions, fractions[1:])):
+            raise ConfigurationError(
+                f"fractions must be strictly ascending for reuse, got {fractions}"
             )
-            for t in trial_indices
-        ]
-        return self._sweep_core(
-            query, fractions, resolution, removal, correction, samplers,
-            early_stop_tolerance,
-        )
-
-    def profile_sampling(
-        self,
-        query: AggregateQuery,
-        fractions: tuple[float, ...],
-        rng: np.random.Generator,
-        resolution: Resolution | None = None,
-        removal: tuple[ObjectClass, ...] = (),
-        correction: CorrectionSet | None = None,
-        early_stop_tolerance: float | None = None,
-    ) -> Profile:
-        """Profile the reduced-frame-sampling axis.
-
-        Args:
-            query: The query.
-            fractions: Ascending fraction candidates.
-            rng: Trial randomness.
-            resolution: Fixed resolution knob (None = native).
-            removal: Fixed restricted classes (empty = none).
-            correction: Optional correction set.
-            early_stop_tolerance: Stop the ascending sweep when the bound
-                improves by less than this (§3.3.2); None disables.
-
-        Returns:
-            The sampling-axis profile.
-        """
-        swept = self._sweep_fractions(
-            query, tuple(fractions), resolution, removal, correction, rng,
-            early_stop_tolerance,
-        )
-        points = [
-            ProfilePoint(
-                plan=InterventionPlan.from_knobs(f=fraction, p=resolution, c=removal),
-                error_bound=point.error_bound,
-                value=point.value,
-                n=point.n,
+        if not fractions:
+            return []
+        trials = len(trial_indices)
+        with telemetry.span(
+            "profiler.sweep",
+            resolution=resolution.side if resolution is not None else "native",
+            removal=len(removal),
+            fractions=len(fractions),
+            trials=trials,
+        ):
+            base_plan = InterventionPlan.from_knobs(p=resolution, c=removal)
+            eligible = base_plan.eligible_indices(
+                query.dataset, self._processor.suite
             )
-            for fraction, point in swept
-        ]
-        return Profile(axis="sampling", points=tuple(points), query_label=query.label())
-
-    def profile_resolution(
-        self,
-        query: AggregateQuery,
-        resolutions: tuple[Resolution, ...],
-        rng: np.random.Generator,
-        fraction: float = 0.5,
-        removal: tuple[ObjectClass, ...] = (),
-        correction: CorrectionSet | None = None,
-    ) -> Profile:
-        """Profile the reduced-resolution axis at a fixed fraction.
-
-        Args:
-            query: The query.
-            resolutions: Resolution candidates (ascending side order).
-            rng: Trial randomness.
-            fraction: Fixed sampling fraction (paper experiments use 0.5).
-            removal: Fixed restricted classes.
-            correction: Optional correction set.
-
-        Returns:
-            The resolution-axis profile.
-        """
-        points = []
-        for resolution in resolutions:
-            plan = InterventionPlan.from_knobs(f=fraction, p=resolution, c=removal)
-            point = self.estimate_plan(query, plan, rng, correction)
-            points.append(
-                ProfilePoint(
-                    plan=plan,
-                    error_bound=point.error_bound,
-                    value=point.value,
-                    n=point.n,
+            effective_resolution = base_plan.effective_resolution(query.dataset)
+            quality = base_plan.quality
+            sizes = [SampleDesign(eligible.size, f).size for f in fractions]
+            max_size = max(sizes)
+            # Each trial draws only the prefix the sweep can consume.
+            samplers = [
+                ProgressiveSampler(
+                    eligible.size, child_rng(root, unit_index, t), max_size=max_size
                 )
-            )
-        return Profile(
-            axis="resolution", points=tuple(points), query_label=query.label()
-        )
-
-    def profile_removal(
-        self,
-        query: AggregateQuery,
-        removals: tuple[tuple[ObjectClass, ...], ...],
-        rng: np.random.Generator,
-        fraction: float = 0.5,
-        resolution: Resolution | None = None,
-        correction: CorrectionSet | None = None,
-    ) -> Profile:
-        """Profile the image-removal axis at fixed fraction/resolution.
-
-        Args:
-            query: The query.
-            removals: Restricted-class combinations; ``()`` = no removal.
-            rng: Trial randomness.
-            fraction: Fixed sampling fraction.
-            resolution: Fixed resolution knob (None = native).
-            correction: Optional correction set.
-
-        Returns:
-            The removal-axis profile.
-        """
-        points = []
-        for combo in removals:
-            plan = InterventionPlan.from_knobs(f=fraction, p=resolution, c=combo)
-            point = self.estimate_plan(query, plan, rng, correction)
-            points.append(
-                ProfilePoint(
-                    plan=plan,
-                    error_bound=point.error_bound,
-                    value=point.value,
-                    n=point.n,
+                for t in trial_indices
+            ]
+            with telemetry.span(
+                "profiler.gather", eligible=int(eligible.size), max_size=max_size
+            ):
+                full_values = self._processor.frame_values(
+                    query, effective_resolution, quality
                 )
-            )
-        return Profile(axis="removal", points=tuple(points), query_label=query.label())
-
-    def generate_hypercube(
-        self,
-        query: AggregateQuery,
-        candidates: CandidateGrid,
-        rng: np.random.Generator,
-        correction: CorrectionSet | None = None,
-        early_stop_tolerance: float | None = None,
-    ) -> DegradationHypercube:
-        """Price the full candidate grid (§3.1's degradation hypercube).
-
-        For each (resolution, removal) pair the fraction axis is swept in
-        ascending order with nested-sample reuse; cells skipped by early
-        stopping are NaN.
-
-        Args:
-            query: The query.
-            candidates: The candidate grid.
-            rng: Trial randomness.
-            correction: Optional correction set.
-            early_stop_tolerance: Early-stop threshold for the fraction
-                sweeps; None disables.
-
-        Returns:
-            The degradation hypercube.
-        """
-        shape = (
-            len(candidates.fractions),
-            len(candidates.resolutions),
-            len(candidates.removals),
-        )
-        bounds = np.full(shape, math.nan)
-        values = np.full(shape, math.nan)
-        fraction_index = {f: i for i, f in enumerate(candidates.fractions)}
-
-        for ci, combo in enumerate(candidates.removals):
-            for ri, resolution in enumerate(candidates.resolutions):
-                swept = self._sweep_fractions(
-                    query,
-                    candidates.fractions,
-                    resolution,
-                    combo,
-                    correction,
-                    rng,
-                    early_stop_tolerance,
+                # One (trials, max_size) fancy index instead of a gather
+                # per trial; row t is exactly
+                # full_values[eligible[samplers[t].prefix(max_size)]].
+                prefix_matrix = np.stack(
+                    [sampler.prefix(max_size) for sampler in samplers]
                 )
-                for fraction, point in swept:
-                    fi = fraction_index[fraction]
-                    bounds[fi, ri, ci] = point.error_bound
-                    values[fi, ri, ci] = point.value
-        return DegradationHypercube(
-            fractions=candidates.fractions,
-            resolutions=candidates.resolutions,
-            removals=candidates.removals,
-            bounds=bounds,
-            values=values,
-            query_label=query.label(),
-        )
+                value_matrix = full_values[eligible[prefix_matrix]]
+            # The fraction knob never changes the randomness classification
+            # (frame sampling is always the random intervention), so
+            # classify the setting once.
+            plan_is_random = self._plan_is_random(
+                query,
+                InterventionPlan.from_knobs(
+                    f=fractions[0], p=resolution, c=removal
+                ),
+            )
+            with telemetry.span(
+                "profiler.price", trials=trials, fractions=len(fractions)
+            ):
+                moments = PrefixMoments(value_matrix)
+                processed = 0
+                results: list[SweptFraction] = []
+                previous_bound: float | None = None
+                for fraction, size in zip(fractions, sizes):
+                    # Ascending fractions give non-decreasing sizes, so
+                    # each fraction charges only the frames it adds.
+                    self._record_sampled(
+                        query, effective_resolution, quality,
+                        (size - processed) * trials,
+                    )
+                    processed = size
+                    values, bounds = self._estimate_prefix_batch(
+                        query, moments, size, int(eligible.size),
+                        plan_is_random, correction,
+                    )
+                    swept = SweptFraction(
+                        fraction=fraction,
+                        values=np.asarray(values, dtype=float),
+                        bounds=np.asarray(bounds, dtype=float),
+                        size=size,
+                    )
+                    results.append(swept)
+                    telemetry.count("profiler.trials_priced", trials)
+                    mean_bound = float(swept.bounds.mean())
+                    if (
+                        early_stop_tolerance is not None
+                        and previous_bound is not None
+                        and abs(previous_bound - mean_bound) < early_stop_tolerance
+                    ):
+                        telemetry.count("profiler.early_stop")
+                        break
+                    previous_bound = mean_bound
+                return results
 
     # ------------------------------------------------------------------
     # Seeded, parallelizable profile generation.
@@ -1090,7 +641,6 @@ class DegradationProfiler:
                 trial_indices=tuple(chunk),
                 early_stop_tolerance=None,
                 suite=self._processor.suite,
-                vectorized=self._vectorized,
             )
             for chunk in chunks
         ]
@@ -1155,7 +705,6 @@ class DegradationProfiler:
                 root=root_t,
                 unit_index=i,
                 suite=self._processor.suite,
-                vectorized=self._vectorized,
             )
             for i, plan in enumerate(plans)
         ]
@@ -1280,7 +829,6 @@ class DegradationProfiler:
                 unit_index=ci * resolution_count + ri,
                 early_stop_tolerance=early_stop_tolerance,
                 suite=self._processor.suite,
-                vectorized=self._vectorized,
             )
             for ci, combo in enumerate(candidates.removals)
             for ri, resolution in enumerate(candidates.resolutions)

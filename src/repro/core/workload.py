@@ -121,8 +121,8 @@ class QueryWorkload:
 
         Args:
             fractions: Ascending fraction candidates, shared by all.
-            rng: Trial randomness (each query gets its own derived stream
-                so profiles are individually reproducible).
+            rng: Trial randomness: each query gets its own derived root
+                seed, so profiles are individually reproducible.
             correction: Optional shared correction set. Note a correction
                 set holds *values*, which are model/aggregate-specific:
                 when queries use different models, build per-query sets
@@ -147,11 +147,8 @@ class QueryWorkload:
                     error_bound=correction.error_bound,
                     trace=correction.trace,
                 )
-            profiles[query.label()] = self._profiler.profile_sampling(
-                query,
-                fractions,
-                np.random.default_rng(int(seed)),
-                correction=query_correction,
+            profiles[query.label()] = self._profiler.profile_sampling_seeded(
+                query, fractions, int(seed), correction=query_correction
             )
         return profiles
 

@@ -263,13 +263,13 @@ def run_ablation_reuse(
         resolutions=(query.dataset.native_resolution,),
         removals=((),),
     )
-    profiler.generate_hypercube(query, grid, np.random.default_rng(seed))
+    profiler.generate_hypercube_seeded(query, grid, seed)
 
     naive_ledger = InvocationLedger()
     naive_profiler = DegradationProfiler(processor, trials=1, ledger=naive_ledger)
-    for fraction in fractions:
+    for index, fraction in enumerate(fractions):
         plan = InterventionPlan.from_knobs(f=fraction)
-        naive_profiler.estimate_plan(query, plan, np.random.default_rng(seed))
+        naive_profiler.estimate_plan_seeded(query, plan, seed, index)
 
     knobs = ["reuse", "naive"]
     series = {

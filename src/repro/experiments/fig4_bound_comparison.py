@@ -40,7 +40,6 @@ def run_fig4(
     seed: int = 0,
     grid_points: int = 8,
     workers: int | str = 1,
-    vectorized: bool = True,
 ) -> ExperimentResult:
     """Regenerate one Figure 4 panel (one dataset x one aggregate).
 
@@ -58,8 +57,6 @@ def run_fig4(
         grid_points: Grid size when ``fractions`` is defaulted.
         workers: Worker processes for the trial loops (``"auto"`` defers
             to the host and workload size).
-        vectorized: Price trials with the batch estimator kernels (the
-            default); False keeps the per-trial loops.
 
     Returns:
         Series ``<method>_bound`` and ``<method>_err`` per fraction.
@@ -83,7 +80,6 @@ def run_fig4(
         summaries = run_method_trials_seeded(
             processor, query, plan, methods, trials, seed,
             setting_index=setting_index, executor=executor,
-            vectorized=vectorized,
         )
         for method, summary in summaries.items():
             series[f"{method}_bound"].append(summary.mean_bound)

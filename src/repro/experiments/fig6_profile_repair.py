@@ -116,7 +116,6 @@ def run_fig6(
     frame_count: int | None = None,
     seed: int = 0,
     workers: int | str = 1,
-    vectorized: bool = True,
 ) -> ExperimentResult:
     """Regenerate one Figure 6 row.
 
@@ -133,8 +132,6 @@ def run_fig6(
         seed: Trial randomness seed.
         workers: Worker processes for the trial loops (``"auto"`` defers
             to the host and workload size).
-        vectorized: Price trials with the batch estimator kernels (the
-            default); False keeps the per-trial loops.
 
     Returns:
         Series: bound without correction, bound with correction, true error.
@@ -168,7 +165,7 @@ def run_fig6(
         # re-created the same generator per knob for the same reason).
         summary = run_repair_trials_seeded(
             processor, query, plan, correction.values, trials, seed + 1,
-            setting_index=0, executor=executor, vectorized=vectorized,
+            setting_index=0, executor=executor,
         )
         series["bound_no_correction"].append(summary.uncorrected_bound)
         series["bound_with_correction"].append(summary.corrected_bound)

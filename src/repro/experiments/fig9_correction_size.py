@@ -108,8 +108,10 @@ def run_fig9(
                 )
             own_sum += capped(own.error_bound)
             for index, plan in enumerate(INTERVENTION_SETS):
-                point = profiler.estimate_plan(
-                    query, plan, np.random.default_rng(seed + 1), correction
+                # Unit 0 of root seed + 1 for every call: each correction
+                # set prices the same trial draws, so the curves are paired.
+                point = profiler.estimate_plan_seeded(
+                    query, plan, seed + 1, 0, correction
                 )
                 corrected_sums[index] += capped(point.error_bound)
         series["own_bound"].append(own_sum / sampler_count)

@@ -39,7 +39,6 @@ def run_timing(
     workers: int | str = 1,
     ledger: InvocationLedger | None = None,
     trials: int = 1,
-    vectorized: bool = True,
 ) -> ExperimentResult:
     """Regenerate the §5.3.1 timing accounting.
 
@@ -57,8 +56,6 @@ def run_timing(
         trials: Sampling trials per profiled setting (the paper's
             accounting uses 1; benchmarks raise it to weight the
             estimation stage).
-        vectorized: Price all trials through the batch estimator kernels
-            (the default); False keeps the per-trial loops.
 
     Returns:
         Per-resolution invocation counts plus the totals and time split.
@@ -67,9 +64,7 @@ def run_timing(
     query = workload.query()
     processor = QueryProcessor(shared_suite())
     ledger = ledger if ledger is not None else InvocationLedger()
-    profiler = DegradationProfiler(
-        processor, trials=trials, ledger=ledger, vectorized=vectorized
-    )
+    profiler = DegradationProfiler(processor, trials=trials, ledger=ledger)
 
     fractions = fraction_candidates(step=0.01, maximum=max_fraction)
     resolutions = tuple(

@@ -1,18 +1,25 @@
 """Shared trial machinery for the figure experiments.
 
 Every §5 experiment repeats its workload over independent sampling trials
-(100 in the paper) and averages. The helper here draws one degraded sample
-per trial and feeds the *same* sample to every method, which is both faster
+(100 in the paper) and averages. The helpers here draw one degraded sample
+per trial and feed the *same* sample to every method, which is both faster
 (model outputs are cached) and a fairer comparison (methods differ only in
 their estimation, not their luck).
 
-The ``*_seeded`` variants give every trial its own
+Trials are priced together: when every trial's sample has the same size
+and universe, the samples stack into one prefix-moment matrix and each
+method is priced for all trials by one batch-kernel call. Samples too
+ragged to stack, and quantile repairs (which have no batch form), fall
+back to the scalar estimators trial by trial.
+
+The ``*_seeded`` entry points give every trial its own
 :func:`~repro.system.executor.child_rng` stream keyed on
 ``(setting_index, trial)``, which makes the summaries a pure function of
 the root seed — independent of trial order and therefore safe to fan out
 over a :class:`~repro.system.executor.ParallelExecutor` in contiguous
 trial chunks (workers return per-trial arrays; the reduction always runs
 over the full concatenated array, so chunk boundaries are invisible).
+:func:`run_repair_trials` keeps one sequential generator for Figure 7.
 """
 
 from __future__ import annotations
@@ -52,110 +59,6 @@ class TrialSummary:
     violation_rate: float
 
 
-def run_method_trials(
-    processor: QueryProcessor,
-    query: AggregateQuery,
-    plan: InterventionPlan,
-    methods: tuple[str, ...],
-    trials: int,
-    rng: np.random.Generator,
-) -> dict[str, TrialSummary]:
-    """Run one degradation setting for several methods over shared trials.
-
-    Args:
-        processor: The query processor.
-        query: The query.
-        plan: The degradation setting.
-        methods: Estimator names to score (all must fit the aggregate).
-        trials: Number of independent sampling trials.
-        rng: Trial randomness.
-
-    Returns:
-        Per-method trial summaries.
-    """
-    per_method = _method_trial_arrays(
-        processor, query, plan, methods, [rng] * trials
-    )
-    return _summarize_method_trials(methods, per_method)
-
-
-def _method_trial_arrays(
-    processor: QueryProcessor,
-    query: AggregateQuery,
-    plan: InterventionPlan,
-    methods: tuple[str, ...],
-    rngs: list[np.random.Generator],
-    vectorized: bool = False,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-trial (bounds, errors) arrays per method, one trial per rng.
-
-    With ``vectorized`` the trial executions stack into one prefix-moment
-    matrix and each method is priced once across all trials by
-    :func:`repro.estimators.dispatch.estimate_batch` (estimation consumes
-    no randomness, so executing every trial up front draws the same
-    samples as the interleaved loop). Trials whose executions differ in
-    shape — a plan with trial-varying eligible sets — fall back to the
-    loop.
-    """
-    executions = [processor.execute(query, plan, rng) for rng in rngs]
-    if vectorized and executions:
-        sizes = {execution.values.size for execution in executions}
-        universes = {execution.universe_size for execution in executions}
-        populations = {execution.population_size for execution in executions}
-        if len(sizes) == len(universes) == len(populations) == 1 and 0 not in sizes:
-            moments = PrefixMoments(
-                np.stack([execution.values for execution in executions])
-            )
-            per_method: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            for method in methods:
-                batch = estimate_batch(
-                    query,
-                    moments,
-                    next(iter(sizes)),
-                    next(iter(universes)),
-                    next(iter(populations)),
-                    method,
-                )
-                per_method[method] = (
-                    batch.error_bounds,
-                    np.array(
-                        [
-                            true_error(processor, query, float(value))
-                            for value in batch.values
-                        ]
-                    ),
-                )
-            return per_method
-    bounds: dict[str, list[float]] = {method: [] for method in methods}
-    errors: dict[str, list[float]] = {method: [] for method in methods}
-    for execution in executions:
-        for method in methods:
-            estimate: Estimate = estimate_query(query, execution, method)
-            bounds[method].append(estimate.error_bound)
-            errors[method].append(true_error(processor, query, estimate.value))
-    return {
-        method: (np.array(bounds[method]), np.array(errors[method]))
-        for method in methods
-    }
-
-
-def _summarize_method_trials(
-    methods: tuple[str, ...],
-    per_method: dict[str, tuple[np.ndarray, np.ndarray]],
-) -> dict[str, TrialSummary]:
-    """Reduce per-trial arrays to the per-method summaries."""
-    summaries: dict[str, TrialSummary] = {}
-    for method in methods:
-        method_bounds, method_errors = per_method[method]
-        finite = method_bounds[np.isfinite(method_bounds)]
-        summaries[method] = TrialSummary(
-            mean_bound=float(finite.mean()) if finite.size else float("inf"),
-            mean_true_error=float(method_errors.mean()),
-            violation_rate=float(np.mean(method_bounds < method_errors)),
-        )
-    return summaries
-
-
 @dataclass(frozen=True)
 class MethodTrialsChunk:
     """Picklable work unit: a contiguous run of seeded method trials.
@@ -168,7 +71,6 @@ class MethodTrialsChunk:
         root: Root entropy of the seed stream.
         setting_index: First spawn-key coordinate of the setting.
         trial_indices: The trial coordinates this chunk evaluates.
-        vectorized: Price the chunk's trials with the batch kernels.
     """
 
     processor: QueryProcessor
@@ -178,24 +80,66 @@ class MethodTrialsChunk:
     root: tuple[int, ...]
     setting_index: int
     trial_indices: tuple[int, ...]
-    vectorized: bool = True
 
 
 def run_method_trials_chunk(
     chunk: MethodTrialsChunk,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Execute one chunk of seeded method trials (worker entry point)."""
-    rngs = [
-        child_rng(chunk.root, chunk.setting_index, t) for t in chunk.trial_indices
+    """Execute one chunk of seeded method trials (worker entry point).
+
+    Returns per-trial ``(bounds, errors)`` arrays per method. The trial
+    executions stack into one prefix-moment matrix and each method is
+    priced once across all trials by
+    :func:`repro.estimators.dispatch.estimate_batch`. Trials whose
+    executions differ in shape — a plan with trial-varying eligible sets —
+    fall back to :func:`~repro.estimators.dispatch.estimate_query` per
+    trial.
+    """
+    processor, query = chunk.processor, chunk.query
+    executions = [
+        processor.execute(
+            query, chunk.plan, child_rng(chunk.root, chunk.setting_index, t)
+        )
+        for t in chunk.trial_indices
     ]
-    return _method_trial_arrays(
-        chunk.processor,
-        chunk.query,
-        chunk.plan,
-        chunk.methods,
-        rngs,
-        vectorized=chunk.vectorized,
-    )
+    sizes = {execution.values.size for execution in executions}
+    universes = {execution.universe_size for execution in executions}
+    populations = {execution.population_size for execution in executions}
+    if len(sizes) == len(universes) == len(populations) == 1 and 0 not in sizes:
+        moments = PrefixMoments(
+            np.stack([execution.values for execution in executions])
+        )
+        per_method: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for method in chunk.methods:
+            batch = estimate_batch(
+                query,
+                moments,
+                next(iter(sizes)),
+                next(iter(universes)),
+                next(iter(populations)),
+                method,
+            )
+            per_method[method] = (
+                batch.error_bounds,
+                np.array(
+                    [
+                        true_error(processor, query, float(value))
+                        for value in batch.values
+                    ]
+                ),
+            )
+        return per_method
+    bounds: dict[str, list[float]] = {method: [] for method in chunk.methods}
+    errors: dict[str, list[float]] = {method: [] for method in chunk.methods}
+    for execution in executions:
+        for method in chunk.methods:
+            estimate: Estimate = estimate_query(query, execution, method)
+            bounds[method].append(estimate.error_bound)
+            errors[method].append(true_error(processor, query, estimate.value))
+    return {
+        method: (np.array(bounds[method]), np.array(errors[method]))
+        for method in chunk.methods
+    }
 
 
 def run_method_trials_seeded(
@@ -207,9 +151,8 @@ def run_method_trials_seeded(
     root: RootSeed,
     setting_index: int = 0,
     executor: ParallelExecutor | None = None,
-    vectorized: bool = True,
 ) -> dict[str, TrialSummary]:
-    """Like :func:`run_method_trials`, with per-trial seed streams.
+    """Run one degradation setting for several methods over shared trials.
 
     Trial ``t`` draws its sample from ``child_rng(root, setting_index,
     t)``, so summaries are bit-identical for any worker count.
@@ -224,8 +167,6 @@ def run_method_trials_seeded(
         setting_index: Distinguishes settings sharing one root (e.g. the
             fractions of a Figure 4 curve).
         executor: Execution substrate; defaults to serial.
-        vectorized: Price trials with the batch kernels (the default);
-            False keeps the per-trial loop for differential testing.
 
     Returns:
         Per-method trial summaries.
@@ -242,19 +183,21 @@ def run_method_trials_seeded(
             root=root_t,
             setting_index=setting_index,
             trial_indices=tuple(chunk),
-            vectorized=vectorized,
         )
         for chunk in trial_chunks(trials, executor.worker_count(trials))
     ]
     results = executor.map(run_method_trials_chunk, payloads)
-    merged = {
-        method: (
-            np.concatenate([result[method][0] for result in results]),
-            np.concatenate([result[method][1] for result in results]),
+    summaries: dict[str, TrialSummary] = {}
+    for method in methods:
+        method_bounds = np.concatenate([result[method][0] for result in results])
+        method_errors = np.concatenate([result[method][1] for result in results])
+        finite = method_bounds[np.isfinite(method_bounds)]
+        summaries[method] = TrialSummary(
+            mean_bound=float(finite.mean()) if finite.size else float("inf"),
+            mean_true_error=float(method_errors.mean()),
+            violation_rate=float(np.mean(method_bounds < method_errors)),
         )
-        for method in methods
-    }
-    return _summarize_method_trials(methods, merged)
+    return summaries
 
 
 @dataclass(frozen=True)
@@ -316,15 +259,14 @@ def _repair_trial_arrays(
     plan: InterventionPlan,
     correction_values: np.ndarray,
     rngs: list[np.random.Generator],
-    vectorized: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (capped uncorrected, capped corrected, error) arrays.
 
-    With ``vectorized``, mean-family and variance settings stack the trial
-    samples into a prefix matrix, price every trial's basic estimate with
-    one batch call, and broadcast the Equation (12) correction over the
-    per-trial answers; quantile settings keep the per-trial loop (their
-    estimator and Equation (13) have no batch form).
+    Mean-family and variance settings stack the trial samples into a
+    prefix matrix, price every trial's basic estimate with one batch call,
+    and broadcast the Equation (12) correction over the per-trial answers;
+    quantile settings price trial by trial (their estimator and Equation
+    (13) have no batch form), as do samples too ragged to stack.
     """
     from repro.estimators.quantile import SmokescreenQuantileEstimator
     from repro.estimators.repair import ProfileRepair
@@ -361,8 +303,7 @@ def _repair_trial_arrays(
     ]
 
     if (
-        vectorized
-        and samples
+        samples
         and (query.aggregate.is_mean_family or query.aggregate.is_variance)
         and len({array.size for array in value_arrays}) == 1
         and len({sample.universe_size for sample in samples}) == 1
@@ -453,7 +394,6 @@ class RepairTrialsChunk:
         root: Root entropy of the seed stream.
         setting_index: First spawn-key coordinate of the setting.
         trial_indices: The trial coordinates this chunk evaluates.
-        vectorized: Price the chunk's trials with the batch kernels.
     """
 
     processor: QueryProcessor
@@ -463,7 +403,6 @@ class RepairTrialsChunk:
     root: tuple[int, ...]
     setting_index: int
     trial_indices: tuple[int, ...]
-    vectorized: bool = True
 
 
 def run_repair_trials_chunk(
@@ -479,7 +418,6 @@ def run_repair_trials_chunk(
         chunk.plan,
         chunk.correction_values,
         rngs,
-        vectorized=chunk.vectorized,
     )
 
 
@@ -492,7 +430,6 @@ def run_repair_trials_seeded(
     root: RootSeed,
     setting_index: int = 0,
     executor: ParallelExecutor | None = None,
-    vectorized: bool = True,
 ) -> RepairTrialSummary:
     """Like :func:`run_repair_trials`, with per-trial seed streams.
 
@@ -506,8 +443,6 @@ def run_repair_trials_seeded(
         setting_index: Distinguishes settings sharing one root (e.g. the
             knobs of a Figure 6 row).
         executor: Execution substrate; defaults to serial.
-        vectorized: Price trials with the batch kernels (the default);
-            False keeps the per-trial loop for differential testing.
 
     Returns:
         The averaged summary (bit-identical for any worker count).
@@ -523,7 +458,6 @@ def run_repair_trials_seeded(
             root=root_t,
             setting_index=setting_index,
             trial_indices=tuple(chunk),
-            vectorized=vectorized,
         )
         for chunk in trial_chunks(trials, executor.worker_count(trials))
     ]

@@ -779,7 +779,6 @@ class SweepUnit:
             defaults to ``range(trials)``.
         early_stop_tolerance: Early-stop threshold; None disables.
         suite: Restricted-class detectors for removal plans.
-        vectorized: Execution style of the rebuilt in-worker profiler.
     """
 
     query: AggregateQuery
@@ -793,7 +792,6 @@ class SweepUnit:
     trial_indices: tuple[int, ...] | None = None
     early_stop_tolerance: float | None = None
     suite: DetectorSuite | None = None
-    vectorized: bool = True
 
 
 def run_sweep_unit(unit: SweepUnit) -> tuple[list, dict[int, int]]:
@@ -803,7 +801,7 @@ def run_sweep_unit(unit: SweepUnit) -> tuple[list, dict[int, int]]:
         unit: The sweep unit.
 
     Returns:
-        The swept ``(fraction, PointEstimate)`` pairs and the unit's
+        The unit's per-fraction ``SweptFraction`` results and its
         per-resolution invocation counts.
     """
     from repro.core.profiler import DegradationProfiler
@@ -811,10 +809,7 @@ def run_sweep_unit(unit: SweepUnit) -> tuple[list, dict[int, int]]:
 
     ledger = InvocationLedger()
     profiler = DegradationProfiler(
-        QueryProcessor(unit.suite),
-        trials=unit.trials,
-        ledger=ledger,
-        vectorized=unit.vectorized,
+        QueryProcessor(unit.suite), trials=unit.trials, ledger=ledger
     )
     trial_indices = (
         unit.trial_indices
@@ -847,7 +842,6 @@ class PlanUnit:
         root: Root entropy of the seed stream.
         unit_index: The setting's index (first spawn-key coordinate).
         suite: Restricted-class detectors for removal plans.
-        vectorized: Execution style of the rebuilt in-worker profiler.
     """
 
     query: AggregateQuery
@@ -857,7 +851,6 @@ class PlanUnit:
     root: tuple[int, ...]
     unit_index: int
     suite: DetectorSuite | None = None
-    vectorized: bool = True
 
 
 def run_plan_unit(unit: PlanUnit) -> tuple[object, dict[int, int]]:
@@ -875,10 +868,7 @@ def run_plan_unit(unit: PlanUnit) -> tuple[object, dict[int, int]]:
 
     ledger = InvocationLedger()
     profiler = DegradationProfiler(
-        QueryProcessor(unit.suite),
-        trials=unit.trials,
-        ledger=ledger,
-        vectorized=unit.vectorized,
+        QueryProcessor(unit.suite), trials=unit.trials, ledger=ledger
     )
     point = profiler.estimate_plan_seeded(
         unit.query, unit.plan, unit.root, unit.unit_index, unit.correction

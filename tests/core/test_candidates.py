@@ -71,6 +71,16 @@ class TestCandidateGrid:
                 removals=((),),
             )
 
+    def test_duplicate_fractions_rejected(self):
+        # The hypercube indexes cells by fraction value, so a repeated
+        # fraction's first row would stay NaN like an early-stop skip.
+        with pytest.raises(ConfigurationError, match="strictly ascending"):
+            CandidateGrid(
+                fractions=(0.1, 0.1, 0.2),
+                resolutions=(Resolution(64),),
+                removals=((),),
+            )
+
     def test_filtered_by_goals(self, detrac_dataset):
         grid = default_candidates(detrac_dataset)
         filtered = grid.filtered(

@@ -1,7 +1,9 @@
-"""Differential tests: the vectorized profiler path vs the trial loops.
+"""Differential tests: the profiler's batch kernels vs the scalar oracle.
 
-The vectorized kernels carry PR 2's determinism contract: both paths draw
-the same samples, record the same ledger totals, keep the same early-stop
+The kernels carry the determinism contract: against
+:mod:`tests.scalar_oracle`, which re-draws every trial and prices each
+``(fraction, trial)`` slice with the scalar estimators, they draw the same
+samples, record the same ledger totals, keep the same early-stop
 selections, and agree on every value and bound within 1e-9.
 """
 
@@ -16,7 +18,9 @@ from repro.core.profiler import DegradationProfiler
 from repro.interventions import InterventionPlan
 from repro.query import Aggregate, AggregateQuery
 from repro.system.costs import InvocationLedger
+from repro.system.executor import PlanUnit
 from repro.video.geometry import Resolution, resolution_grid
+from tests import scalar_oracle
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -34,17 +38,25 @@ def max_query(detrac_dataset, yolo_car):
     return AggregateQuery(detrac_dataset, yolo_car, Aggregate.MAX)
 
 
-def paired_profilers(processor, trials, ledgers=False):
-    """One vectorized and one loop profiler, optionally with own ledgers."""
-    kwargs_v = {"ledger": InvocationLedger()} if ledgers else {}
-    kwargs_l = {"ledger": InvocationLedger()} if ledgers else {}
-    vec = DegradationProfiler(processor, trials=trials, vectorized=True, **kwargs_v)
-    loop = DegradationProfiler(processor, trials=trials, vectorized=False, **kwargs_l)
-    return vec, loop
+def kernel_and_oracle(monkeypatch, run):
+    """``run()`` on the kernels, then again with the oracle installed."""
+    kernel = run()
+    scalar_oracle.install(monkeypatch)
+    return kernel, run()
+
+
+def oracle_point(processor, query, plan, trials, root):
+    point, _ = scalar_oracle.plan_unit(
+        PlanUnit(query=query, plan=plan, correction=None, trials=trials,
+                 root=(root,), unit_index=0, suite=processor.suite)
+    )
+    return point
 
 
 class TestHypercubeDifferential:
-    def test_bounds_ledger_and_nan_mask_agree(self, processor, avg_query):
+    def test_bounds_ledger_and_nan_mask_agree(
+        self, processor, avg_query, monkeypatch
+    ):
         grid = CandidateGrid(
             fractions=FRACTIONS,
             resolutions=tuple(
@@ -52,13 +64,18 @@ class TestHypercubeDifferential:
             ),
             removals=((),),
         )
-        vec, loop = paired_profilers(processor, trials=3, ledgers=True)
-        cube_vec = vec.generate_hypercube_seeded(
-            avg_query, grid, root=5, early_stop_tolerance=0.05
-        )
-        cube_loop = loop.generate_hypercube_seeded(
-            avg_query, grid, root=5, early_stop_tolerance=0.05
-        )
+        ledgers = []
+
+        def run():
+            ledgers.append(InvocationLedger())
+            profiler = DegradationProfiler(
+                processor, trials=3, ledger=ledgers[-1]
+            )
+            return profiler.generate_hypercube_seeded(
+                avg_query, grid, root=5, early_stop_tolerance=0.05
+            )
+
+        cube_vec, cube_loop = kernel_and_oracle(monkeypatch, run)
         # Identical early-stop decisions: the NaN masks match exactly.
         np.testing.assert_array_equal(
             np.isnan(cube_vec.bounds), np.isnan(cube_loop.bounds)
@@ -69,14 +86,18 @@ class TestHypercubeDifferential:
         np.testing.assert_allclose(
             cube_vec.values, cube_loop.values, rtol=RTOL, atol=ATOL
         )
-        # Identical samples drawn: the ledgers fold to the same counts.
-        assert vec._ledger.by_resolution() == loop._ledger.by_resolution()
-        assert vec._ledger.total == loop._ledger.total
+        # Identical samples drawn: the ledger folds to the oracle's counts.
+        assert ledgers[0].by_resolution() == ledgers[1].by_resolution()
+        assert ledgers[0].total == ledgers[1].total
 
-    def test_max_aggregate_uses_quantile_fallback(self, processor, max_query):
-        vec, loop = paired_profilers(processor, trials=2)
-        profile_vec = vec.profile_sampling_seeded(max_query, FRACTIONS, root=3)
-        profile_loop = loop.profile_sampling_seeded(max_query, FRACTIONS, root=3)
+    def test_max_aggregate_uses_quantile_fallback(
+        self, processor, max_query, monkeypatch
+    ):
+        profiler = DegradationProfiler(processor, trials=2)
+        profile_vec, profile_loop = kernel_and_oracle(
+            monkeypatch,
+            lambda: profiler.profile_sampling_seeded(max_query, FRACTIONS, root=3),
+        )
         np.testing.assert_allclose(
             profile_vec.error_bounds(), profile_loop.error_bounds(),
             rtol=RTOL, atol=ATOL,
@@ -84,16 +105,15 @@ class TestHypercubeDifferential:
 
 
 class TestSamplingSweepDifferential:
-    def test_with_correction_set(self, processor, avg_query, rng):
+    def test_with_correction_set(self, processor, avg_query, rng, monkeypatch):
         correction = determine_correction_set(processor, avg_query, rng)
-        vec, loop = paired_profilers(processor, trials=3)
-        profile_vec = vec.profile_sampling_seeded(
-            avg_query, FRACTIONS, root=11,
-            resolution=Resolution(160), correction=correction,
-        )
-        profile_loop = loop.profile_sampling_seeded(
-            avg_query, FRACTIONS, root=11,
-            resolution=Resolution(160), correction=correction,
+        profiler = DegradationProfiler(processor, trials=3)
+        profile_vec, profile_loop = kernel_and_oracle(
+            monkeypatch,
+            lambda: profiler.profile_sampling_seeded(
+                avg_query, FRACTIONS, root=11,
+                resolution=Resolution(160), correction=correction,
+            ),
         )
         assert profile_vec.knob_values() == profile_loop.knob_values()
         np.testing.assert_allclose(
@@ -101,14 +121,34 @@ class TestSamplingSweepDifferential:
             rtol=RTOL, atol=ATOL,
         )
 
-    def test_early_stop_keeps_same_points(self, processor, avg_query):
-        vec, loop = paired_profilers(processor, trials=2)
-        fractions = (0.05, 0.1, 0.2, 0.4, 0.8)
-        profile_vec = vec.profile_sampling_seeded(
-            avg_query, fractions, root=2, early_stop_tolerance=0.5
+    def test_random_plan_takes_tighter_corrected_bound(
+        self, processor, detrac_dataset, yolo_car, rng, monkeypatch
+    ):
+        # COUNT at small fractions: the corrected bound wins the minimum.
+        query = AggregateQuery(detrac_dataset, yolo_car, Aggregate.COUNT)
+        correction = determine_correction_set(processor, query, rng)
+        profiler = DegradationProfiler(processor, trials=3)
+        profile_vec, profile_loop = kernel_and_oracle(
+            monkeypatch,
+            lambda: profiler.profile_sampling_seeded(
+                query, (0.005, 0.01, 0.02), root=13, correction=correction
+            ),
         )
-        profile_loop = loop.profile_sampling_seeded(
-            avg_query, fractions, root=2, early_stop_tolerance=0.5
+        np.testing.assert_allclose(
+            profile_vec.error_bounds(), profile_loop.error_bounds(),
+            rtol=RTOL, atol=ATOL,
+        )
+
+    def test_early_stop_keeps_same_points(
+        self, processor, avg_query, monkeypatch
+    ):
+        profiler = DegradationProfiler(processor, trials=2)
+        fractions = (0.05, 0.1, 0.2, 0.4, 0.8)
+        profile_vec, profile_loop = kernel_and_oracle(
+            monkeypatch,
+            lambda: profiler.profile_sampling_seeded(
+                avg_query, fractions, root=2, early_stop_tolerance=0.5
+            ),
         )
         assert profile_vec.knob_values() == profile_loop.knob_values()
         assert len(profile_vec.points) < len(fractions)
@@ -121,13 +161,9 @@ class TestPointEstimates:
     ):
         query = AggregateQuery(detrac_dataset, yolo_car, aggregate)
         plan = InterventionPlan.from_knobs(f=0.1)
-        vec, loop = paired_profilers(processor, trials=3)
-        point_vec = vec.estimate_plan(
-            query, plan, np.random.default_rng(9)
-        )
-        point_loop = loop.estimate_plan(
-            query, plan, np.random.default_rng(9)
-        )
+        profiler = DegradationProfiler(processor, trials=3)
+        point_vec = profiler.estimate_plan_seeded(query, plan, root=9, unit_index=0)
+        point_loop = oracle_point(processor, query, plan, trials=3, root=9)
         assert point_vec.value == pytest.approx(point_loop.value, rel=RTOL)
         assert point_vec.error_bound == pytest.approx(
             point_loop.error_bound, rel=RTOL
@@ -136,9 +172,9 @@ class TestPointEstimates:
 
     def test_estimate_plan_seeded_matches_loop(self, processor, avg_query):
         plan = InterventionPlan.from_knobs(f=0.08, p=160)
-        vec, loop = paired_profilers(processor, trials=4)
-        point_vec = vec.estimate_plan_seeded(avg_query, plan, root=17, unit_index=0)
-        point_loop = loop.estimate_plan_seeded(avg_query, plan, root=17, unit_index=0)
+        profiler = DegradationProfiler(processor, trials=4)
+        point_vec = profiler.estimate_plan_seeded(avg_query, plan, root=17, unit_index=0)
+        point_loop = oracle_point(processor, avg_query, plan, trials=4, root=17)
         assert point_vec.value == pytest.approx(point_loop.value, rel=RTOL)
         assert point_vec.error_bound == pytest.approx(
             point_loop.error_bound, rel=RTOL
@@ -148,7 +184,7 @@ class TestPointEstimates:
     def test_n_is_max_across_trials(self, processor, avg_query):
         # Every trial samples the same count here, so n must equal it —
         # the regression was reporting only the *last* trial's n.
-        profiler = DegradationProfiler(processor, trials=3, vectorized=False)
+        profiler = DegradationProfiler(processor, trials=3)
         plan = InterventionPlan.from_knobs(f=0.1)
-        point = profiler.estimate_plan(avg_query, plan, np.random.default_rng(1))
+        point = profiler.estimate_plan_seeded(avg_query, plan, root=1, unit_index=0)
         assert point.n == round(avg_query.dataset.frame_count * 0.1)

@@ -1,9 +1,9 @@
-"""Differential runs of the seeded experiment drivers: kernels vs loops.
+"""Differential runs of the seeded experiment drivers: kernels vs oracle.
 
 The acceptance contract for the batch-trial kernels: every seeded driver
-produces the same series with ``vectorized=True`` and ``vectorized=False``
-within 1e-9 — same samples drawn, same decisions, only the arithmetic
-pipeline differs.
+produces the same series as with :mod:`tests.scalar_oracle` swapped under
+its work units within 1e-9 — same samples drawn, same decisions, only the
+arithmetic pipeline differs.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from repro.experiments.fig6_profile_repair import run_fig6
 from repro.experiments.timing import run_timing
 from repro.query.aggregates import Aggregate
 from repro.system.costs import InvocationLedger
+from tests import scalar_oracle
 
 FRAMES = 2500
 RTOL = 1e-9
@@ -34,36 +35,35 @@ def assert_series_close(vec, loop):
 
 class TestFig4Differential:
     @pytest.mark.parametrize("aggregate", [Aggregate.AVG, Aggregate.MAX])
-    def test_panel_matches_loop(self, aggregate):
+    def test_panel_matches_loop(self, aggregate, monkeypatch):
         common = dict(
             trials=6, frame_count=FRAMES, grid_points=3, seed=7
         )
-        vec = run_fig4("ua-detrac", aggregate, vectorized=True, **common)
-        loop = run_fig4("ua-detrac", aggregate, vectorized=False, **common)
+        vec = run_fig4("ua-detrac", aggregate, **common)
+        scalar_oracle.install(monkeypatch)
+        loop = run_fig4("ua-detrac", aggregate, **common)
         assert vec.knobs == loop.knobs
         assert_series_close(vec, loop)
 
 
 class TestFig6Differential:
     @pytest.mark.parametrize("axis", ["sampling", "resolution"])
-    def test_row_matches_loop(self, axis):
+    def test_row_matches_loop(self, axis, monkeypatch):
         common = dict(trials=6, frame_count=FRAMES, seed=3)
-        vec = run_fig6("ua-detrac", Aggregate.AVG, axis, vectorized=True, **common)
-        loop = run_fig6("ua-detrac", Aggregate.AVG, axis, vectorized=False, **common)
+        vec = run_fig6("ua-detrac", Aggregate.AVG, axis, **common)
+        scalar_oracle.install(monkeypatch)
+        loop = run_fig6("ua-detrac", Aggregate.AVG, axis, **common)
         assert vec.knobs == loop.knobs
         assert_series_close(vec, loop)
 
 
 class TestTimingDifferential:
-    def test_sweep_matches_loop_and_ledger(self):
+    def test_sweep_matches_loop_and_ledger(self, monkeypatch):
         ledger_vec = InvocationLedger()
         ledger_loop = InvocationLedger()
-        vec = run_timing(
-            frame_count=FRAMES, trials=3, vectorized=True, ledger=ledger_vec
-        )
-        loop = run_timing(
-            frame_count=FRAMES, trials=3, vectorized=False, ledger=ledger_loop
-        )
+        vec = run_timing(frame_count=FRAMES, trials=3, ledger=ledger_vec)
+        scalar_oracle.install(monkeypatch)
+        loop = run_timing(frame_count=FRAMES, trials=3, ledger=ledger_loop)
         assert vec.knobs == loop.knobs
         assert_series_close(vec, loop)
         # Identical samples drawn: the invocation accounting folds equal.

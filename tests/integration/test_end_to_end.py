@@ -33,8 +33,8 @@ class TestAdministrationProcedure:
     )
     def test_profile_choose_estimate(self, system, aggregate):
         query = system.query(aggregate)
-        profile = system.profiler.profile_sampling(
-            query, (0.05, 0.1, 0.2, 0.4, 0.8), np.random.default_rng(1)
+        profile = system.profiler.profile_sampling_seeded(
+            query, (0.05, 0.1, 0.2, 0.4, 0.8), 1
         )
         max_error = float(profile.error_bounds().max()) + 0.01
         choice = choose_tradeoff(profile, PublicPreferences(max_error=max_error))
@@ -46,8 +46,8 @@ class TestAdministrationProcedure:
 
     def test_stricter_target_means_less_degradation(self, system):
         query = system.query(Aggregate.AVG)
-        profile = system.profiler.profile_sampling(
-            query, (0.05, 0.1, 0.2, 0.4, 0.8), np.random.default_rng(2)
+        profile = system.profiler.profile_sampling_seeded(
+            query, (0.05, 0.1, 0.2, 0.4, 0.8), 2
         )
         bounds = profile.error_bounds()
         strict = choose_tradeoff(

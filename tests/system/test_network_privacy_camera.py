@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -113,8 +112,8 @@ class TestAdministrator:
         dataset = ua_detrac(frame_count=1200)
         system = Smokescreen(dataset, yolo_v4_like(), trials=2)
         query = system.query(Aggregate.AVG)
-        profile = system.profiler.profile_sampling(
-            query, (0.05, 0.1, 0.3, 0.6), np.random.default_rng(0)
+        profile = system.profiler.profile_sampling_seeded(
+            query, (0.05, 0.1, 0.3, 0.6), 0
         )
         administrator = Administrator(
             name="Harry", preferences=PublicPreferences(max_error=0.5)

@@ -274,7 +274,7 @@ class TestDeterminism:
         def run_profile():
             query = AggregateQuery(corpus, yolo_v4_like(), Aggregate.AVG)
             profiler = DegradationProfiler(
-                QueryProcessor(default_suite()), trials=3, vectorized=True
+                QueryProcessor(default_suite()), trials=3
             )
             return profiler.profile_sampling_seeded(
                 query, (0.05, 0.1, 0.2), root=29
