@@ -771,8 +771,6 @@ def cmd_trace_show(args: argparse.Namespace) -> int:
 
 def cmd_trace_export(args: argparse.Namespace) -> int:
     """Export one trace as a Chrome ``chrome://tracing`` JSON file."""
-    from repro.system.observe import tracing
-
     status, body = _fetch_traces(args, f"/traces/{args.trace_id}")
     if status >= 400 or not isinstance(body, dict):
         print(
@@ -781,16 +779,23 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    payload = tracing.chrome_payload(body.get("spans", []))
-    output = Path(args.output)
-    if output.parent != Path(""):
-        output.parent.mkdir(parents=True, exist_ok=True)
-    with open(output, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    try:
+        records = tuple(
+            telemetry.SpanRecord.from_dict(span)
+            for span in body.get("spans", [])
+        )
+    except (AttributeError, TypeError, ValueError) as error:
+        print(
+            f"error: trace {args.trace_id!r} has a malformed span: {error}",
+            file=sys.stderr,
+        )
+        return 1
+    payload = observe.export_chrome_trace(
+        telemetry.MetricsSnapshot(spans=records), args.output
+    )
     print(
-        f"chrome trace written to {output} "
-        f"({len(payload.get('traceEvents', []))} events)"
+        f"chrome trace written to {args.output} "
+        f"({len(payload['traceEvents'])} events)"
     )
     return 0
 

@@ -402,7 +402,7 @@ def _call_unit(
 
     When a :class:`~repro.system.observe.tracing.TraceContext` rides
     along (the parent's ``executor.map`` span), the unit runs inside an
-    ``executor.unit`` span tagged with the trace identity and this
+    ``executor.unit`` span continuing that trace and recorded with this
     worker's pid — its absolute start is anchored to this process's
     ``perf_counter`` epoch, so the folded snapshot stitches into the
     parent's cross-process timeline.
@@ -411,15 +411,7 @@ def _call_unit(
     previous = telemetry.install(local) if local is not None else None
     try:
         if local is not None and trace is not None:
-            identity: dict[str, object] = {
-                "trace_id": trace.trace_id,
-                "span_id": tracing.new_span_id(),
-                "parent_span_id": trace.span_id,
-                "pid": os.getpid(),
-            }
-            if trace.tenant is not None:
-                identity["tenant"] = trace.tenant
-            unit_span = telemetry.span("executor.unit", **identity)
+            unit_span = telemetry.traced_span("executor.unit", trace.child())
         else:
             unit_span = contextlib.nullcontext()
         try:

@@ -3,8 +3,9 @@
 :mod:`repro.system.telemetry` collects metrics and spans; this package
 makes them *outlive the process* and plug into standard tooling:
 
-- :mod:`~repro.system.observe.trace` — render a snapshot's span forest as
-  a Chrome trace-event JSON timeline loadable in Perfetto or
+- :mod:`~repro.system.observe.trace` — the one Chrome trace-event
+  exporter: span records (a ``--trace`` snapshot or a daemon trace) as
+  an epoch-aligned, per-pid timeline loadable in Perfetto or
   ``chrome://tracing``.
 - :mod:`~repro.system.observe.prometheus` — render counters, gauges and
   histograms (with bucket lines) in the Prometheus text exposition format.
@@ -14,9 +15,10 @@ makes them *outlive the process* and plug into standard tooling:
 - :mod:`~repro.system.observe.gate` — compare two ledger records under
   configurable thresholds; the ``repro runs check`` CI gate.
 - :mod:`~repro.system.observe.tracing` — distributed trace-context
-  propagation (serve → batcher → pool workers), the always-on bounded
-  trace ring behind ``/traces`` and ``repro trace``, and the crash
-  flight recorder.
+  propagation (serve → batcher → pool workers), traced spans recorded
+  as :class:`~repro.system.telemetry.SpanRecord` with their trace
+  identity as fields, the always-on bounded trace ring behind
+  ``/traces`` and ``repro trace``, and the crash flight recorder.
 - :mod:`~repro.system.observe.aggregate` — hierarchical camera → shard
   → fleet telemetry rollups recorded as ``facts.fleet.telemetry``.
 
@@ -55,12 +57,11 @@ from repro.system.observe.prometheus import (
     prometheus_exposition,
 )
 from repro.system.observe.trace import (
+    chrome_payload,
     export_chrome_trace,
     trace_depth,
-    trace_events,
 )
 from repro.system.observe.tracing import (
-    SpanEvent,
     TraceContext,
     TraceRing,
     dump_flight_record,
@@ -70,7 +71,6 @@ from repro.system.observe.tracing import (
 __all__ = [
     "ActiveRun",
     "CameraStats",
-    "SpanEvent",
     "TelemetryAggregator",
     "TraceContext",
     "TraceRing",
@@ -83,6 +83,7 @@ __all__ = [
     "append_record",
     "begin_run",
     "check_run",
+    "chrome_payload",
     "config_fingerprint",
     "diff_runs",
     "dump_flight_record",
@@ -97,5 +98,4 @@ __all__ = [
     "read_runs",
     "record_event",
     "trace_depth",
-    "trace_events",
 ]

@@ -25,11 +25,10 @@ server for a scrape target (examples in ``docs/SUBSTRATE.md``).
 from __future__ import annotations
 
 import math
-import os
 import re
-import tempfile
 from pathlib import Path
 
+from repro.system.observe.trace import atomic_write_text
 from repro.system.telemetry import (
     HISTOGRAM_BUCKET_BOUNDS,
     HistogramStat,
@@ -201,7 +200,8 @@ def prometheus_exposition(snapshot: MetricsSnapshot | None) -> str:
 def export_prometheus(
     snapshot: MetricsSnapshot | None, path: str | Path
 ) -> str:
-    """Write the exposition to a file atomically (tmp + rename).
+    """Write the exposition to a file atomically (tmp + rename, see
+    :func:`~repro.system.observe.trace.atomic_write_text`).
 
     Args:
         snapshot: The telemetry snapshot.
@@ -211,19 +211,5 @@ def export_prometheus(
         The exposition text written.
     """
     text = prometheus_exposition(snapshot)
-    destination = Path(path)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{destination.name}.", suffix=".tmp", dir=destination.parent
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, destination)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write_text(path, text)
     return text

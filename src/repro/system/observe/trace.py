@@ -1,25 +1,18 @@
-"""Chrome trace-event exporter for telemetry span forests.
+"""The one Chrome trace-event exporter for span records.
 
-Renders a :class:`~repro.system.telemetry.MetricsSnapshot`'s nested
-:class:`~repro.system.telemetry.SpanRecord` trees as the Trace Event
-Format JSON that ``chrome://tracing`` and https://ui.perfetto.dev load
-directly: one complete-duration event (``"ph": "X"``) per span, with the
-span's attributes riding in ``args``.
+Renders :class:`~repro.system.telemetry.SpanRecord` objects as the Trace
+Event Format JSON that ``chrome://tracing`` and https://ui.perfetto.dev
+load directly: one complete-duration event (``"ph": "X"``) per record,
+with its trace identity and attributes riding in ``args``.
 
-Two timeline modes, chosen per snapshot:
-
-* **Real timeline** — when every span carries an absolute wall-clock
-  ``start`` (the registry anchors ``perf_counter`` starts to a
-  per-process epoch, see :func:`~repro.system.telemetry.perf_epoch`),
-  events are placed at their true offsets from the earliest span.
-  Worker-process spans (tagged with a ``pid`` attribute by the executor)
-  land on their own process track, so a multi-worker serve run renders
-  as genuinely overlapping, epoch-aligned lanes.
-* **Synthetic fallback** — legacy spans (``start == 0``, e.g. payloads
-  round-tripped from old JSON exports) only guarantee *nesting*, so the
-  exporter lays each root tree out sequentially; within a span its
-  children start at the parent's start and follow one another, which
-  keeps every child interval inside its parent.
+Every record carries an absolute wall-clock ``start`` (the registry
+anchors ``perf_counter`` starts to a per-process wall-clock epoch) and
+the ``pid`` that
+recorded it, so :func:`chrome_payload` places each record at its true
+offset from the earliest one, on its own process's track. A CLI
+``--trace`` run and a ``repro trace export`` of a daemon trace go
+through the same function; pool-worker spans render as genuinely
+overlapping, epoch-aligned lanes either way.
 """
 
 from __future__ import annotations
@@ -28,161 +21,65 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
-from repro.system.telemetry import MetricsSnapshot, SpanRecord
-
-#: Timeline slot gap between consecutive root trees, in microseconds —
-#: purely cosmetic separation in the viewer (synthetic mode only).
-_ROOT_GAP_US = 1.0
-
-_PID = 1
-_TID = 1
+from repro.system.telemetry import MetricsSnapshot, SpanRecord, iter_spans
 
 
-def _span_events(
-    record: SpanRecord, start_us: float, events: list[dict]
-) -> float:
-    """Emit one span subtree starting at ``start_us``; return its end."""
-    duration_us = max(record.duration, 0.0) * 1e6
-    events.append(
-        {
-            "name": record.name,
-            "cat": record.name.split(".", 1)[0],
-            "ph": "X",
-            "ts": round(start_us, 3),
-            "dur": round(duration_us, 3),
-            "pid": _PID,
-            "tid": _TID,
-            "args": {key: _arg(value) for key, value in record.attributes},
-        }
-    )
-    cursor = start_us
-    for child in record.children:
-        cursor = _span_events(child, cursor, events)
-    return start_us + duration_us
+def chrome_payload(records: Iterable[SpanRecord]) -> dict:
+    """Span records as a Perfetto-loadable Chrome trace payload.
 
-
-def _real_span_events(
-    record: SpanRecord,
-    origin: float,
-    pid: int,
-    events: list[dict],
-    pids: set[int],
-) -> None:
-    """Emit one subtree at its true wall-clock offsets from ``origin``.
-
-    ``ts``/``dur`` stay unrounded: the subtraction-then-scale is monotone,
-    so child/parent nesting relations survive exactly, which rounding to a
-    fixed decimal place would not guarantee.
-    """
-    attributes = dict(record.attributes)
-    span_pid = attributes.get("pid")
-    if isinstance(span_pid, int) and span_pid > 0:
-        pid = span_pid
-    pids.add(pid)
-    events.append(
-        {
-            "name": record.name,
-            "cat": record.name.split(".", 1)[0],
-            "ph": "X",
-            "ts": (record.start - origin) * 1e6,
-            "dur": max(record.duration, 0.0) * 1e6,
-            "pid": pid,
-            "tid": _TID,
-            "args": {key: _arg(value) for key, value in record.attributes},
-        }
-    )
-    for child in record.children:
-        _real_span_events(child, origin, pid, events, pids)
-
-
-def _arg(value: object) -> object:
-    """Attribute values as trace args (tuples render as lists)."""
-    if isinstance(value, tuple):
-        return [_arg(item) for item in value]
-    return value
-
-
-def _all_starts(record: SpanRecord) -> bool:
-    if record.start <= 0.0:
-        return False
-    return all(_all_starts(child) for child in record.children)
-
-
-def has_real_timeline(snapshot: MetricsSnapshot) -> bool:
-    """True when every span in the forest carries a wall-clock start."""
-    return bool(snapshot.spans) and all(
-        _all_starts(root) for root in snapshot.spans
-    )
-
-
-def _min_start(record: SpanRecord) -> float:
-    return min(
-        record.start,
-        min((_min_start(child) for child in record.children), default=record.start),
-    )
-
-
-def trace_events(snapshot: MetricsSnapshot) -> list[dict]:
-    """The snapshot's span forest as a list of trace events.
+    ``ts``/``dur`` stay unrounded: the subtraction-then-scale is
+    monotone, so child/parent nesting relations survive, which rounding
+    to a fixed decimal place would not guarantee.
 
     Args:
-        snapshot: The telemetry snapshot to render.
+        records: The spans to render (nesting is not consulted: every
+            record is placed by its own ``start`` and ``pid``).
 
     Returns:
-        Trace events: metadata events naming each process track, then one
-        complete-duration (``"X"``) event per span. With real start
-        timestamps the events sit at their true offsets (worker spans on
-        per-pid tracks); otherwise the timeline is reconstructed from
-        durations, parents starting at or before their children and
-        enclosing them.
+        ``{"traceEvents": [...], ...}``: a ``process_name`` metadata
+        event per pid, then one ``"X"`` event per record.
     """
-    if has_real_timeline(snapshot):
-        origin = min(_min_start(root) for root in snapshot.spans)
-        events: list[dict] = []
-        pids: set[int] = set()
-        for root in snapshot.spans:
-            _real_span_events(root, origin, _PID, events, pids)
-        metadata: list[dict] = []
-        for pid in sorted(pids):
-            name = "repro" if pid == _PID else f"repro worker {pid}"
-            metadata.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "args": {"name": name},
-                }
-            )
-            metadata.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": _TID,
-                    "args": {"name": "spans"},
-                }
-            )
-        return metadata + events
-    events = [
+    records = list(records)
+    origin = min((record.start for record in records), default=0.0)
+    metadata = [
         {
             "name": "process_name",
             "ph": "M",
-            "pid": _PID,
-            "args": {"name": "repro"},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": _PID,
-            "tid": _TID,
-            "args": {"name": "spans"},
-        },
+            "pid": pid,
+            "args": {"name": f"repro pid {pid}"},
+        }
+        for pid in sorted({record.pid for record in records})
     ]
-    cursor = 0.0
-    for root in snapshot.spans:
-        cursor = _span_events(root, cursor, events) + _ROOT_GAP_US
-    return events
+    events = []
+    for record in records:
+        args = {
+            key: getattr(record, key)
+            for key in ("trace_id", "span_id", "parent_span_id", "tenant")
+            if record.trace_id is not None
+        }
+        args.update(record.to_dict(children=False)["attributes"])
+        events.append(
+            {
+                "name": record.name,
+                "cat": record.name.split(".", 1)[0],
+                "ph": "X",
+                "ts": (record.start - origin) * 1e6,
+                "dur": record.duration * 1e6,
+                "pid": record.pid,
+                "tid": 1,
+                "args": args,
+            }
+        )
+    return {
+        "traceEvents": metadata + events,
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "exporter": "repro.system.observe.trace",
+            "note": "epoch-aligned wall-clock timeline; one track per pid",
+        },
+    }
 
 
 def trace_depth(snapshot: MetricsSnapshot) -> int:
@@ -202,40 +99,34 @@ def trace_depth(snapshot: MetricsSnapshot) -> int:
 def export_chrome_trace(
     snapshot: MetricsSnapshot | None, path: str | Path
 ) -> dict:
-    """Write the snapshot as a Perfetto-loadable trace JSON file.
+    """Write every span of the snapshot as a Perfetto-loadable trace file.
 
-    The write is atomic (temporary file in the destination directory, then
-    :func:`os.replace`), so a reader — or a concurrent exporter targeting
-    the same path — never observes a partial file.
+    The write is atomic (see :func:`atomic_write_text`), so a reader — or
+    a concurrent exporter targeting the same path — never observes a
+    partial file.
 
     Args:
-        snapshot: The telemetry snapshot (None renders an empty trace).
+        snapshot: The spans to export (None renders an empty trace).
         path: Destination ``.json`` path.
 
     Returns:
         The payload written (``{"traceEvents": [...], ...}``).
     """
-    events = trace_events(snapshot) if snapshot is not None else []
-    real = snapshot is not None and has_real_timeline(snapshot)
-    payload = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "exporter": "repro.system.observe.trace",
-            "note": (
-                "epoch-aligned wall-clock timeline; worker spans on "
-                "per-pid tracks"
-                if real
-                else "timeline reconstructed from span durations; nesting "
-                "is exact, absolute timestamps are synthetic"
-            ),
-        },
-    }
-    _atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
+    payload = chrome_payload(
+        iter_spans(snapshot) if snapshot is not None else ()
+    )
+    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
     return payload
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` via a temporary file and a rename.
+
+    The temporary file lives in the destination directory and is removed
+    if the write fails, so the destination is either untouched or
+    complete and no partial file is ever left behind.
+    """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         prefix=f".{path.name}.", suffix=".tmp", dir=path.parent

@@ -1,26 +1,26 @@
 """Distributed trace-context propagation and the in-memory trace ring.
 
-The serving daemon, executor and stream layers each collect telemetry,
-but a request that enters ``POST /estimate``, gets coalesced by the
-MicroBatcher and is priced inside a pool worker crosses three telemetry
-islands. This module stitches them together:
+A request that enters ``POST /estimate``, gets coalesced by the
+MicroBatcher and is priced inside a pool worker crosses an asyncio task,
+an executor thread and a worker process. This module gives it one
+identity across all of them:
 
 - :class:`TraceContext` — an immutable (trace id, span id, parent span
   id, tenant) tuple minted per serve request (honouring an inbound
-  ``X-Repro-Trace-Id`` header) and propagated through a
-  :mod:`contextvars` variable, so nested :func:`span` calls on one
-  asyncio task or thread chain parent→child automatically. Crossing an
-  executor boundary (``run_in_executor`` does *not* copy contextvars)
-  is explicit: pass the context and re-enter it with :func:`use` or
-  :func:`run_with`.
-- Trace-tagged telemetry spans — :func:`span` opens a regular
-  :func:`repro.system.telemetry.span` carrying ``trace_id`` /
-  ``span_id`` / ``parent_span_id`` / ``tenant`` attributes, so exported
-  snapshots (Chrome trace, ledger digests) show the trace identity, and
-  worker snapshots folded back by the executor stitch into one
-  cross-process trace via :func:`ingest_snapshot_spans`.
-- :class:`TraceRing` — a bounded, always-on ring of completed span
-  events (independent of telemetry enablement) backing the ``/traces``
+  ``X-Repro-Trace-Id`` header) and carried in a :mod:`contextvars`
+  variable, so nested :func:`span` calls on one asyncio task or thread
+  chain parent→child automatically. Boundaries that drop context
+  variables (``run_in_executor``, the batcher task, pool workers) hand
+  it across explicitly with :func:`use` or :func:`run_with`, which
+  also hands over the open span, so the registry's tree follows the
+  trace.
+- :func:`span` — one traced span, timed once into one
+  :class:`~repro.system.telemetry.SpanRecord` whose trace identity and
+  pid are record fields. The record goes to the ring always and to the
+  telemetry registry when collection is on. Worker records come back in
+  the unit's snapshot and :func:`ingest_snapshot_spans` rings them.
+- :class:`TraceRing` — a bounded, always-on ring of completed traced
+  records (independent of telemetry enablement) backing the ``/traces``
   daemon endpoints, the ``repro trace`` CLI and the crash flight
   recorder (:func:`dump_flight_record`).
 
@@ -41,22 +41,20 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from repro.system import telemetry
 from repro.system.observe import ledger as run_ledger
+from repro.system.telemetry import RING_CAPACITY, SpanRecord
 
 __all__ = [
+    "RING_CAPACITY",
     "TraceContext",
-    "SpanEvent",
     "TraceRing",
-    "chrome_payload",
     "current_context",
     "dump_flight_record",
     "ingest_snapshot_spans",
     "mint",
-    "new_span_id",
-    "new_trace_id",
+    "new_id",
     "ring",
     "run_with",
     "span",
@@ -67,23 +65,9 @@ __all__ = [
 #: replaced with a freshly minted id (never trust wire input verbatim).
 TRACE_ID_PATTERN = re.compile(r"^[0-9a-fA-F-]{1,64}$")
 
-#: Ring capacity: enough for several hundred requests' spans without
-#: unbounded growth in a long-lived daemon.
-RING_CAPACITY = 2048
 
-#: Attribute keys that carry trace identity on telemetry spans.
-_IDENTITY_KEYS = frozenset(
-    {"trace_id", "span_id", "parent_span_id", "tenant"}
-)
-
-
-def new_trace_id() -> str:
-    """A fresh 16-hex-character trace identifier."""
-    return uuid.uuid4().hex[:16]
-
-
-def new_span_id() -> str:
-    """A fresh 16-hex-character span identifier."""
+def new_id() -> str:
+    """A fresh 16-hex-character trace or span identifier."""
     return uuid.uuid4().hex[:16]
 
 
@@ -107,18 +91,10 @@ class TraceContext:
         """A child context: same trace, fresh span id, this span as parent."""
         return TraceContext(
             trace_id=self.trace_id,
-            span_id=new_span_id(),
+            span_id=new_id(),
             parent_span_id=self.span_id,
             tenant=self.tenant,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_span_id": self.parent_span_id,
-            "tenant": self.tenant,
-        }
 
 
 def mint(
@@ -142,8 +118,8 @@ def mint(
         if candidate and TRACE_ID_PATTERN.match(candidate):
             accepted = candidate.lower()
     return TraceContext(
-        trace_id=accepted if accepted is not None else new_trace_id(),
-        span_id=new_span_id(),
+        trace_id=accepted if accepted is not None else new_id(),
+        span_id=new_id(),
         tenant=tenant,
     )
 
@@ -165,15 +141,19 @@ def use(ctx: TraceContext | None):
     The explicit re-entry point for boundaries that drop contextvars
     (thread pools, process pools): capture :func:`current_context` on
     the submitting side, pass it across, and ``with use(ctx):`` on the
-    executing side.
+    executing side. Spans opened in the block nest under the span
+    ``ctx`` names when it is open in this process, and start a new root
+    of the registry's span forest otherwise (a fresh trace).
     """
     if ctx is None:
         yield None
         return
     token = _current.set(ctx)
+    span_token = telemetry.current_span.set(_open.get(ctx.span_id))
     try:
         yield ctx
     finally:
+        telemetry.current_span.reset(span_token)
         _current.reset(token)
 
 
@@ -186,58 +166,25 @@ def run_with(ctx: TraceContext | None, fn, /, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
-@dataclass(frozen=True)
-class SpanEvent:
-    """One completed span as recorded in the trace ring.
-
-    ``start`` is absolute wall-clock time (the per-process
-    ``perf_counter`` epoch plus the monotonic start), so events from
-    different processes on one machine sit on a shared timeline.
-    """
-
-    trace_id: str
-    span_id: str
-    parent_span_id: str | None
-    name: str
-    tenant: str | None
-    start: float
-    duration: float
-    pid: int
-    attributes: tuple[tuple[str, object], ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_span_id": self.parent_span_id,
-            "name": self.name,
-            "tenant": self.tenant,
-            "start_ts": round(self.start, 6),
-            "duration_s": round(self.duration, 9),
-            "pid": self.pid,
-            "attributes": {key: value for key, value in self.attributes},
-        }
-
-
 class TraceRing:
-    """A bounded, thread-safe ring of completed span events.
+    """A bounded, thread-safe ring of completed traced span records.
 
-    Always on — recording a span event is a deque append under a lock,
+    Always on — recording a span is a deque append under a lock,
     cheap enough to keep regardless of telemetry enablement, which is
     what makes the crash flight recorder trustworthy: it has data even
     when the operator never passed ``--telemetry``.
     """
 
     def __init__(self, capacity: int = RING_CAPACITY) -> None:
-        self._events: deque[SpanEvent] = deque(maxlen=int(capacity))
+        self._events: deque[SpanRecord] = deque(maxlen=int(capacity))
         self._lock = threading.Lock()
 
-    def record(self, event: SpanEvent) -> None:
+    def record(self, event: SpanRecord) -> None:
         with self._lock:
             self._events.append(event)
 
-    def events(self) -> list[SpanEvent]:
-        """All retained events, oldest first."""
+    def events(self) -> list[SpanRecord]:
+        """All retained records, oldest first."""
         with self._lock:
             return list(self._events)
 
@@ -249,8 +196,8 @@ class TraceRing:
         with self._lock:
             return len(self._events)
 
-    def trace(self, trace_id: str) -> list[SpanEvent]:
-        """Every retained event of one trace (id or unique prefix)."""
+    def trace(self, trace_id: str) -> list[SpanRecord]:
+        """Every retained record of one trace (id or unique prefix)."""
         events = self.events()
         exact = [e for e in events if e.trace_id == trace_id]
         if exact:
@@ -264,32 +211,27 @@ class TraceRing:
         (the span with no parent, else the earliest), tenants seen,
         wall-clock start and end-to-end duration.
         """
-        grouped: dict[str, list[SpanEvent]] = {}
+        grouped: dict[str, list[SpanRecord]] = {}
         for event in self.events():
             grouped.setdefault(event.trace_id, []).append(event)
         summaries = []
         for trace_id, events in grouped.items():
             roots = [e for e in events if e.parent_span_id is None]
             anchor = roots[0] if roots else min(events, key=lambda e: e.start)
-            starts = [e.start for e in events if e.start > 0]
-            ends = [
-                e.start + e.duration for e in events if e.start > 0
-            ]
-            tenants = sorted({e.tenant for e in events if e.tenant})
+            start = min(e.start for e in events)
+            end = max(e.start + e.duration for e in events)
             summaries.append(
                 {
                     "trace_id": trace_id,
                     "spans": len(events),
                     "root": anchor.name,
-                    "tenants": tenants,
-                    "start_ts": round(min(starts), 6) if starts else None,
-                    "duration_s": (
-                        round(max(ends) - min(starts), 9) if starts else None
-                    ),
-                    "pids": sorted({e.pid for e in events if e.pid}),
+                    "tenants": sorted({e.tenant for e in events if e.tenant}),
+                    "start_ts": round(start, 6),
+                    "duration_s": round(end - start, 9),
+                    "pids": sorted({e.pid for e in events}),
                 }
             )
-        summaries.sort(key=lambda s: s["start_ts"] or 0.0, reverse=True)
+        summaries.sort(key=lambda s: s["start_ts"], reverse=True)
         return summaries[: max(int(limit), 0)]
 
 
@@ -301,15 +243,18 @@ def ring() -> TraceRing:
     return _RING
 
 
+#: Traced spans open in this process, by span id: what :func:`use`
+#: hands across a boundary so child spans nest under their own parent.
+_open: dict[str, telemetry._SpanHandle] = {}
+
+
 @contextlib.contextmanager
 def span(name: str, **attributes):
-    """A traced span: telemetry span + trace identity + ring event.
+    """A traced span: one record to the ring, and to telemetry when on.
 
-    Opens a :func:`repro.system.telemetry.span` tagged with the trace
-    identity (so Chrome-trace exports and folded worker snapshots show
-    it), makes a child context current for the block, and on exit
-    records a :class:`SpanEvent` into the ring — the latter always, even
-    with telemetry disabled.
+    Makes a child of the current context (or a fresh root) current for
+    the block and times the block once into a
+    :class:`~repro.system.telemetry.SpanRecord` carrying that identity.
 
     Yields:
         The block's :class:`TraceContext`.
@@ -317,40 +262,19 @@ def span(name: str, **attributes):
     parent = _current.get()
     ctx = parent.child() if parent is not None else mint()
     token = _current.set(ctx)
-    identity: dict[str, object] = {
-        "trace_id": ctx.trace_id,
-        "span_id": ctx.span_id,
-    }
-    if ctx.parent_span_id is not None:
-        identity["parent_span_id"] = ctx.parent_span_id
-    if ctx.tenant is not None:
-        identity["tenant"] = ctx.tenant
-    start_perf = time.perf_counter()
+    handle = telemetry.traced_span(name, ctx, **attributes)
+    _open[ctx.span_id] = handle
     try:
-        with telemetry.span(name, **identity, **attributes):
+        with handle:
             yield ctx
     finally:
-        duration = time.perf_counter() - start_perf
+        del _open[ctx.span_id]
         _current.reset(token)
-        _RING.record(
-            SpanEvent(
-                trace_id=ctx.trace_id,
-                span_id=ctx.span_id,
-                parent_span_id=ctx.parent_span_id,
-                name=name,
-                tenant=ctx.tenant,
-                start=telemetry.perf_epoch() + start_perf,
-                duration=duration,
-                pid=os.getpid(),
-                attributes=tuple(sorted(attributes.items(), key=lambda kv: kv[0])),
-            )
-        )
+        _RING.record(handle.record)
 
 
-def ingest_snapshot_spans(
-    snapshot: telemetry.MetricsSnapshot | None,
-) -> int:
-    """Ring every trace-tagged span of a (worker) snapshot.
+def ingest_snapshot_spans(snapshot: telemetry.MetricsSnapshot | None) -> int:
+    """Ring every traced record of a (worker) snapshot.
 
     The executor calls this while folding worker outcomes, so spans
     recorded inside pool processes — which have their own ring that dies
@@ -358,109 +282,20 @@ def ingest_snapshot_spans(
     ``/traces`` and ``repro trace``.
 
     Returns:
-        The number of events ingested.
+        The number of records ingested.
     """
     if snapshot is None:
         return 0
-    ingested = 0
-    for record in telemetry.iter_spans(snapshot):
-        attrs = dict(record.attributes)
-        trace_id = attrs.get("trace_id")
-        if not trace_id:
-            continue
-        pid = attrs.get("pid")
-        _RING.record(
-            SpanEvent(
-                trace_id=str(trace_id),
-                span_id=str(attrs.get("span_id") or new_span_id()),
-                parent_span_id=(
-                    str(attrs["parent_span_id"])
-                    if attrs.get("parent_span_id")
-                    else None
-                ),
-                name=record.name,
-                tenant=(
-                    str(attrs["tenant"]) if attrs.get("tenant") else None
-                ),
-                start=record.start,
-                duration=record.duration,
-                pid=int(pid) if isinstance(pid, (int, float)) else 0,
-                attributes=tuple(
-                    (key, value)
-                    for key, value in record.attributes
-                    if key not in _IDENTITY_KEYS and key != "pid"
-                ),
-            )
-        )
-        ingested += 1
-    return ingested
-
-
-def chrome_payload(events: Iterable[Mapping | SpanEvent]) -> dict:
-    """Span events as a Perfetto-loadable Chrome trace payload.
-
-    Accepts :class:`SpanEvent` objects or their ``to_dict`` form (what
-    the daemon's ``/traces/<id>`` endpoint returns), so ``repro trace
-    export`` can convert a fetched trace client-side.
-    """
-    dicts = [
-        event.to_dict() if isinstance(event, SpanEvent) else dict(event)
-        for event in events
-    ]
-    starts = [
-        float(d.get("start_ts", 0.0))
-        for d in dicts
-        if float(d.get("start_ts", 0.0)) > 0
-    ]
-    origin = min(starts) if starts else 0.0
-    trace_events: list[dict] = []
-    pids: set[int] = set()
-    for d in dicts:
-        pid = int(d.get("pid") or 0) or 1
-        pids.add(pid)
-        start = float(d.get("start_ts", 0.0))
-        trace_events.append(
-            {
-                "name": str(d.get("name", "span")),
-                "cat": str(d.get("name", "span")).split(".", 1)[0],
-                "ph": "X",
-                "ts": max(start - origin, 0.0) * 1e6,
-                "dur": max(float(d.get("duration_s", 0.0)), 0.0) * 1e6,
-                "pid": pid,
-                "tid": 1,
-                "args": {
-                    "trace_id": d.get("trace_id"),
-                    "span_id": d.get("span_id"),
-                    "parent_span_id": d.get("parent_span_id"),
-                    "tenant": d.get("tenant"),
-                    **dict(d.get("attributes") or {}),
-                },
-            }
-        )
-    metadata = []
-    for pid in sorted(pids):
-        metadata.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "args": {"name": f"repro pid {pid}"},
-            }
-        )
-    return {
-        "traceEvents": metadata + trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "exporter": "repro.system.observe.tracing",
-            "note": "epoch-aligned span events from the live trace ring",
-        },
-    }
+    traced = [r for r in telemetry.iter_spans(snapshot) if r.trace_id]
+    for record in traced:
+        _RING.record(record)
+    return len(traced)
 
 
 def dump_flight_record(
     reason: str, error: str | None = None, limit: int = 64
 ) -> dict:
-    """Dump the last-N ring events to the run ledger (crash forensics).
+    """Dump the last-N ring records to the run ledger (crash forensics).
 
     Called on unhandled daemon errors and SIGQUIT. Annotates the active
     run, records a ``flight.recorder`` event, and — when the active run
@@ -477,7 +312,7 @@ def dump_flight_record(
         "error": str(error) if error else None,
         "ts": round(time.time(), 3),
         "pid": os.getpid(),
-        "spans": [event.to_dict() for event in events],
+        "spans": [event.to_dict(children=False) for event in events],
     }
     run_ledger.annotate(
         flight_record={

@@ -1388,7 +1388,9 @@ class ServeDaemon:
             return 200, "application/json", json.dumps(
                 {
                     "trace_id": events[0].trace_id,
-                    "spans": [event.to_dict() for event in events],
+                    "spans": [
+                        event.to_dict(children=False) for event in events
+                    ],
                 }
             )
         if method == "POST" and path == "/shutdown":

@@ -18,8 +18,13 @@ of the package can import this module without cycles):
   :class:`~repro.system.costs.InvocationLedger` counts cross the pool
   boundary.
 - **Spans** — lightweight wall-time scopes (``with telemetry.span(
-  "profiler.sweep", resolution=304)``) recording a parent/child trace tree
-  for profile generation.
+  "profiler.sweep", resolution=304)``), each completed as one
+  :class:`SpanRecord`. A span's parent is the innermost span open in the
+  current context (a :mod:`contextvars` variable), so concurrent asyncio
+  tasks and threads each build their own branch of the tree. Traced
+  spans (:func:`traced_span`, opened by
+  :func:`repro.system.observe.tracing.span`) carry their trace identity
+  as record fields.
 - **Structured logging** — ``repro.*`` namespaced loggers with a JSON or
   human formatter (:func:`setup_logging`), and :func:`log_event` for
   key=value event records.
@@ -38,11 +43,14 @@ enabled or disabled (the benchmark asserts this).
 from __future__ import annotations
 
 import bisect
+import contextvars
 import json
 import logging
 import math
+import os
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -53,8 +61,10 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "NullRegistry",
+    "RING_CAPACITY",
     "SpanRecord",
     "count",
+    "current_span",
     "disable",
     "enable",
     "enabled",
@@ -64,26 +74,28 @@ __all__ = [
     "log_event",
     "merge_snapshots",
     "observe",
-    "perf_epoch",
     "registry",
     "setup_logging",
     "span",
     "timer",
+    "traced_span",
 ]
 
 
 #: This process's offset between the wall clock and the monotonic
-#: performance counter, captured once at import. ``perf_epoch() +
+#: performance counter, captured once at import. ``_PERF_EPOCH +
 #: time.perf_counter()`` is a wall-clock timestamp, so spans timed with
-#: the monotonic clock can carry absolute start times that are directly
+#: the monotonic clock carry absolute start times that are directly
 #: comparable *across processes on one machine* — the anchoring that lets
 #: pool-worker span forests line up with the parent's on one timeline.
 _PERF_EPOCH = time.time() - time.perf_counter()
 
 
-def perf_epoch() -> float:
-    """The wall-clock value of this process's ``perf_counter`` zero."""
-    return _PERF_EPOCH
+#: How many root spans a registry keeps, and how many records the trace
+#: ring keeps: a long-lived daemon traces every request, so neither may
+#: grow without bound. A registry drops its oldest roots first and counts
+#: them in ``telemetry.spans_dropped``.
+RING_CAPACITY = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +303,7 @@ def _attribute_from_json(value: object) -> object:
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """One completed span in a trace tree.
+    """One completed span in a trace tree (in snapshots and the ring).
 
     Attributes:
         name: Dotted span name (``profiler.sweep``).
@@ -301,9 +313,13 @@ class SpanRecord:
             JSON-compatible).
         children: Spans that completed while this one was open.
         start: Absolute wall-clock start time (unix seconds), anchored
-            via :func:`perf_epoch` so spans from different processes on
-            one machine share a timeline. ``0.0`` means unknown (a
-            record deserialized from a pre-anchoring payload).
+            via ``_PERF_EPOCH`` so spans from different processes on
+            one machine share a timeline.
+        trace_id: The trace the span belongs to (None when untraced).
+        span_id: This span's id within the trace.
+        parent_span_id: The enclosing traced span's id, if any.
+        tenant: The requesting tenant, if known.
+        pid: The process that recorded the span.
     """
 
     name: str
@@ -311,19 +327,32 @@ class SpanRecord:
     attributes: tuple[tuple[str, object], ...] = ()
     children: tuple["SpanRecord", ...] = ()
     start: float = 0.0
+    trace_id: str | None = None
+    span_id: str | None = None
+    parent_span_id: str | None = None
+    tenant: str | None = None
+    pid: int = 0
 
-    def to_dict(self) -> dict:
-        """A JSON-ready representation of the subtree."""
-        return {
+    def to_dict(self, children: bool = True) -> dict:
+        """A JSON-ready representation of the subtree (of the span alone,
+        the form ``/traces/<id>`` serves, with ``children=False``)."""
+        payload = {
             "name": self.name,
-            "duration_s": round(self.duration, 6),
+            "duration_s": round(self.duration, 9),
             "start_ts": round(self.start, 6),
+            "trace_id": self.trace_id,
+            "span_id": self.span_id,
+            "parent_span_id": self.parent_span_id,
+            "tenant": self.tenant,
+            "pid": self.pid,
             "attributes": {
                 key: _attribute_to_json(value)
                 for key, value in self.attributes
             },
-            "children": [child.to_dict() for child in self.children],
         }
+        if children:
+            payload["children"] = [child.to_dict() for child in self.children]
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SpanRecord":
@@ -332,11 +361,31 @@ class SpanRecord:
         Attribute values survive the JSON round-trip structurally: ints
         stay ints, floats stay floats, and tuples (serialized as JSON
         arrays) come back as tuples.
+
+        Raises:
+            ValueError: ``name`` is missing, ``start_ts`` is not
+                positive, or ``duration_s`` is negative or not finite.
         """
+        name = payload.get("name")
+        try:
+            start = float(payload["start_ts"])
+            duration = float(payload["duration_s"])
+        except (KeyError, TypeError, ValueError):
+            start = duration = math.nan
+        if not name or not start > 0.0 or not 0.0 <= duration < math.inf:
+            raise ValueError(
+                f"span record {name!r} needs a name, a positive start_ts "
+                "and a finite, non-negative duration_s"
+            )
         return cls(
-            name=str(payload["name"]),
-            duration=float(payload.get("duration_s", 0.0)),
-            start=float(payload.get("start_ts", 0.0)),
+            name=str(name),
+            duration=duration,
+            start=start,
+            trace_id=payload.get("trace_id") or None,
+            span_id=payload.get("span_id") or None,
+            parent_span_id=payload.get("parent_span_id") or None,
+            tenant=payload.get("tenant") or None,
+            pid=int(payload.get("pid") or 0),
             attributes=tuple(
                 sorted(
                     (str(key), _attribute_from_json(value))
@@ -401,7 +450,7 @@ class MetricsSnapshot:
 
         Counter/gauge values, histogram summaries and span attributes come
         back with their original types (span durations are rounded to the
-        microsecond ``to_dict`` serialized).
+        nanosecond ``to_dict`` serialized).
         """
         return cls(
             counters={
@@ -437,26 +486,71 @@ def merge_snapshots(*snapshots: MetricsSnapshot | None) -> MetricsSnapshot:
 # ---------------------------------------------------------------------------
 
 
+#: The innermost span open in the current context: the parent of the
+#: next span opened here. asyncio tasks copy it at creation; executor
+#: threads and pool workers start without one unless
+#: :func:`repro.system.observe.tracing.use` hands a parent across.
+current_span: contextvars.ContextVar["_SpanHandle | None"] = (
+    contextvars.ContextVar("repro_current_span", default=None)
+)
+
+
 class _SpanHandle:
-    """Context manager recording one span into its registry."""
+    """Context manager timing one span into one :class:`SpanRecord`.
 
-    __slots__ = ("_registry", "name", "attributes", "_children", "_start")
+    ``record`` is None while the span is open and the finished record
+    once it has closed.
+    """
 
-    def __init__(self, registry: "MetricsRegistry", name: str, attributes: tuple):
+    __slots__ = ("_registry", "name", "attributes", "context", "record",
+                 "_parent", "_children", "_start")
+
+    def __init__(self, registry: "MetricsRegistry", name: str,
+                 attributes: Mapping[str, object], context=None):
         self._registry = registry
         self.name = name
-        self.attributes = attributes
+        self.attributes = tuple(
+            sorted(
+                (key, _normalize_attribute(value))
+                for key, value in attributes.items()
+            )
+        )
+        self.context = context
+        self.record: SpanRecord | None = None
+        self._parent: _SpanHandle | None = None
         self._children: list[SpanRecord] = []
         self._start = 0.0
 
     def __enter__(self) -> "_SpanHandle":
-        self._registry._open_span(self)
+        self._parent = current_span.get()
+        current_span.set(self)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info) -> None:
         duration = time.perf_counter() - self._start
-        self._registry._close_span(self, duration)
+        ctx = self.context  # a TraceContext, or None for a plain span
+        self.record = SpanRecord(
+            name=self.name,
+            duration=duration,
+            attributes=self.attributes,
+            children=tuple(self._children),
+            start=_PERF_EPOCH + self._start,
+            trace_id=getattr(ctx, "trace_id", None),
+            span_id=getattr(ctx, "span_id", None),
+            parent_span_id=getattr(ctx, "parent_span_id", None),
+            tenant=getattr(ctx, "tenant", None),
+            pid=os.getpid(),
+        )
+        # Tolerate out-of-order exits (generators suspended mid-span):
+        # attach to the nearest ancestor still open.
+        parent = self._parent
+        while parent is not None and parent.record is not None:
+            parent = parent._parent
+        if current_span.get() is self:
+            current_span.set(parent)
+        if self._registry.enabled:
+            self._registry._close_span(self.record, parent)
 
 
 class _NullSpan:
@@ -495,9 +589,11 @@ class _TimerHandle:
 class MetricsRegistry:
     """Counters, gauges, histograms, and spans for one process.
 
-    Process-local and single-threaded by design (the substrate parallelises
-    with processes, not threads); worker processes run their own registry
-    and return snapshots for the parent to merge.
+    Process-local: worker processes run their own registry and return
+    snapshots for the parent to merge. Spans nest by context, not by a
+    registry-wide stack, so threads and asyncio tasks sharing one
+    registry each attach to their own parent. At most
+    :data:`RING_CAPACITY` root spans are kept.
     """
 
     enabled = True
@@ -506,8 +602,7 @@ class MetricsRegistry:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, HistogramStat] = {}
-        self._roots: list[SpanRecord] = []
-        self._stack: list[_SpanHandle] = []
+        self._roots: deque[SpanRecord] = deque(maxlen=RING_CAPACITY)
 
     def count(self, name: str, value: float = 1.0) -> None:
         """Add to a monotonically increasing counter."""
@@ -525,49 +620,30 @@ class MetricsRegistry:
     def span(self, name: str, **attributes):
         """A context manager recording a wall-time span under this name.
 
-        Spans opened while another span is active become its children in
-        the trace tree; the tree is part of :meth:`snapshot`. Attribute
-        values are normalized to JSON-compatible types up front (ints,
-        floats, strings and tuples survive export structurally; arbitrary
-        objects become strings).
+        Spans opened while another span is open in the same context
+        become its children in the trace tree; the tree is part of
+        :meth:`snapshot`. Attribute values are normalized to
+        JSON-compatible types up front (ints, floats, strings and tuples
+        survive export structurally; arbitrary objects become strings).
         """
-        return _SpanHandle(
-            self,
-            name,
-            tuple(
-                sorted(
-                    (key, _normalize_attribute(value))
-                    for key, value in attributes.items()
-                )
-            ),
-        )
+        return _SpanHandle(self, name, attributes)
 
     def timer(self, name: str):
         """A context manager observing its wall time into histogram ``name``."""
         return _TimerHandle(self, name)
 
-    def _open_span(self, handle: _SpanHandle) -> None:
-        self._stack.append(handle)
-
-    def _close_span(self, handle: _SpanHandle, duration: float) -> None:
-        record = SpanRecord(
-            name=handle.name,
-            duration=duration,
-            attributes=handle.attributes,
-            children=tuple(handle._children),
-            start=_PERF_EPOCH + handle._start,
-        )
-        # Tolerate out-of-order exits (generators suspended mid-span):
-        # attach to the nearest surviving ancestor instead of crashing.
-        while self._stack and self._stack[-1] is not handle:
-            self._stack.pop()
-        if self._stack:
-            self._stack.pop()
-        if self._stack:
-            self._stack[-1]._children.append(record)
+    def _close_span(self, record: SpanRecord, parent) -> None:
+        if parent is not None and parent._registry is self:
+            parent._children.append(record)
         else:
-            self._roots.append(record)
-        self.observe(f"span.{handle.name}", duration)
+            self._add_roots((record,))
+        self.observe(f"span.{record.name}", record.duration)
+
+    def _add_roots(self, records: tuple[SpanRecord, ...]) -> None:
+        overflow = len(self._roots) + len(records) - RING_CAPACITY
+        if overflow > 0:
+            self.count("telemetry.spans_dropped", overflow)
+        self._roots.extend(records)
 
     def snapshot(self) -> MetricsSnapshot:
         """The registry's current state as a mergeable snapshot."""
@@ -589,7 +665,7 @@ class MetricsRegistry:
         for name, stat in snapshot.histograms.items():
             existing = self._histograms.get(name, HistogramStat())
             self._histograms[name] = existing.merged(stat)
-        self._roots.extend(snapshot.spans)
+        self._add_roots(snapshot.spans)
 
     def reset(self) -> None:
         """Drop all recorded metrics and spans."""
@@ -597,7 +673,6 @@ class MetricsRegistry:
         self._gauges.clear()
         self._histograms.clear()
         self._roots.clear()
-        self._stack.clear()
 
 
 class NullRegistry(MetricsRegistry):
@@ -698,6 +773,17 @@ def span(name: str, **attributes):
 def timer(name: str):
     """Open a timer on the active registry (no-op context when disabled)."""
     return _active.timer(name)
+
+
+def traced_span(name: str, context, /, **attributes) -> _SpanHandle:
+    """A span carrying ``context``'s trace identity as record fields.
+
+    ``context`` is a :class:`~repro.system.observe.tracing.TraceContext`.
+    Unlike :func:`span` the handle is timed even with telemetry off, so
+    its ``record`` can feed the always-on trace ring; the registry keeps
+    it only when collecting.
+    """
+    return _SpanHandle(_active, name, attributes, context)
 
 
 # ---------------------------------------------------------------------------

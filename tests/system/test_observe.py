@@ -199,9 +199,24 @@ class TestChromeTrace:
         assert payload["traceEvents"] == []
         assert path.exists()
 
-    def test_no_leftover_temp_files(self, tmp_path):
+    def test_no_leftover_temp_files(self, tmp_path, monkeypatch, capsys):
+        from repro import cli
+
         export_chrome_trace(nested_snapshot(), tmp_path / "trace.json")
-        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+        # ``repro trace export`` writes through the same atomic writer.
+        spans = [
+            record.to_dict(children=False)
+            for record in telemetry.iter_spans(nested_snapshot())
+        ]
+        monkeypatch.setattr(
+            cli, "_fetch_traces",
+            lambda args, path: (200, {"trace_id": "ab", "spans": spans}),
+        )
+        output = tmp_path / "served.json"
+        assert cli.main(["trace", "export", "ab", "--output", str(output)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "served.json", "trace.json",
+        ]
 
 
 class TestPrometheus:
@@ -667,7 +682,7 @@ class TestCrossProcessMerge:
         ]
         assert dispatched
         for unit in dispatched:
-            assert dict(unit.attributes)["trace_id"]
+            assert unit.trace_id
             assert [c.name for c in unit.children] == ["unit.outer"]
         assert snapshot.counters["unit.calls"] == 4
         assert sorted(

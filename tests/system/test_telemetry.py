@@ -12,6 +12,8 @@ import io
 import json
 import logging
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from repro.system.telemetry import (
     MetricsRegistry,
     MetricsSnapshot,
     NullRegistry,
+    SpanRecord,
     merge_snapshots,
 )
 from repro.video import ua_detrac
@@ -153,6 +156,49 @@ class TestSpans:
         outer.__exit__(None, None, None)  # generator abandoned mid-span
         inner.__exit__(None, None, None)
         assert {r.name for r in registry.snapshot().spans} == {"outer", "inner"}
+
+
+    def test_threads_nest_under_their_own_parent(self):
+        registry = MetricsRegistry()
+
+        def work(tag):
+            for _ in range(50):
+                with registry.span("outer", tag=tag):
+                    with registry.span("inner", tag=tag):
+                        pass
+
+        threads = [
+            threading.Thread(target=work, args=(tag,)) for tag in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        roots = registry.snapshot().spans
+        assert len(roots) == 8 * 50
+        for root in roots:
+            assert [c.attributes for c in root.children] == [root.attributes]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"start_ts": 1.0, "duration_s": 0.1},
+            {"name": "s", "duration_s": 0.1},
+            {"name": "s", "start_ts": 0.0, "duration_s": 0.1},
+            {"name": "s", "start_ts": 1.0, "duration_s": -0.1},
+            {"name": "s", "start_ts": 1.0, "duration_s": float("inf")},
+            {"name": "s", "start_ts": 1.0, "duration_s": "soon"},
+        ],
+    )
+    def test_from_dict_rejects_malformed_records(self, payload):
+        with pytest.raises(ValueError):
+            SpanRecord.from_dict(payload)
 
 
 class TestNullRegistry:

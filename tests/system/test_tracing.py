@@ -11,10 +11,15 @@ The contracts under test:
   ``start == 0.0`` and rendered as a bogus 1970 timeline.
 - **Ring semantics**: bounded capacity, id-or-prefix lookup, newest-
   first summaries.
+- **Bounded span memory** (regression): a collecting registry keeps at
+  most ``RING_CAPACITY`` records however many requests are traced.
 - **Flight recorder**: dumps annotate the active run and append a
   standalone schema-valid ledger record immediately.
 - **End-to-end continuity**: one trace id spans the HTTP handler, the
-  coalesced micro-batch kernel span and the ``/traces`` readout.
+  coalesced micro-batch kernel span and the ``/traces`` readout, and
+  concurrent requests nest within their own trace (regression: a
+  span's parent is the innermost span open on its own task, never one
+  opened by another request).
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import time
 import pytest
 
 from repro.system import shm, telemetry
+from repro.system.observe import trace
 from repro.system.executor import (
     ExecutorConfig,
     ParallelExecutor,
@@ -35,6 +41,7 @@ from repro.system.executor import (
 from repro.system.observe import ledger as run_ledger
 from repro.system.observe import tracing
 from repro.system.serve import ServeConfig, ServeDaemon, post_json
+from repro.system.telemetry import MetricsSnapshot, SpanRecord
 
 FRAMES = 1200
 
@@ -118,7 +125,7 @@ class TestTraceRing:
         ring = tracing.TraceRing(capacity=4)
         for index in range(10):
             ring.record(
-                tracing.SpanEvent(
+                SpanRecord(
                     trace_id=f"t{index}",
                     span_id=f"s{index}",
                     parent_span_id=None,
@@ -136,7 +143,7 @@ class TestTraceRing:
         ring = tracing.TraceRing()
         for trace_id in ("abcd1234", "abff0000"):
             ring.record(
-                tracing.SpanEvent(
+                SpanRecord(
                     trace_id=trace_id,
                     span_id="s",
                     parent_span_id=None,
@@ -156,7 +163,7 @@ class TestTraceRing:
         for offset, trace_id in enumerate(("old", "new")):
             base = 100.0 + offset * 10
             ring.record(
-                tracing.SpanEvent(
+                SpanRecord(
                     trace_id=trace_id,
                     span_id="root",
                     parent_span_id=None,
@@ -168,7 +175,7 @@ class TestTraceRing:
                 )
             )
             ring.record(
-                tracing.SpanEvent(
+                SpanRecord(
                     trace_id=trace_id,
                     span_id="kid",
                     parent_span_id="root",
@@ -193,7 +200,7 @@ class TestTraceRing:
             with tracing.span("inner"):
                 pass
         dicts = [e.to_dict() for e in tracing.ring().events()]
-        payload = tracing.chrome_payload(dicts)
+        payload = trace.chrome_payload(SpanRecord.from_dict(d) for d in dicts)
         slices = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         assert {e["name"] for e in slices} == {"outer", "inner"}
         inner = next(e for e in slices if e["name"] == "inner")
@@ -203,6 +210,23 @@ class TestTraceRing:
         assert outer["args"]["flavour"] == "x"
         metadata = [e for e in payload["traceEvents"] if e["ph"] == "M"]
         assert metadata and metadata[0]["args"]["name"].startswith("repro pid")
+
+
+class TestSpanMemory:
+    def test_registry_keeps_at_most_ring_capacity_records(self):
+        """A daemon traces every request: its registry must stay bounded,
+        also when the daemon runs inside a collecting CLI span."""
+        registry = telemetry.enable()
+        with telemetry.span("cli.serve"):
+            for _ in range(tracing.RING_CAPACITY + 10):
+                with tracing.use(tracing.mint()):
+                    with tracing.span("serve.request"):
+                        pass
+        snapshot = registry.snapshot()
+        records = list(telemetry.iter_spans(snapshot))
+        assert len(records) <= tracing.RING_CAPACITY
+        assert snapshot.counters["telemetry.spans_dropped"] == 11
+        assert len(tracing.ring()) == tracing.RING_CAPACITY
 
 
 class TestWorkerSpanAnchoring:
@@ -246,18 +270,20 @@ class TestWorkerSpanAnchoring:
         assert any(e.pid != os.getpid() for e in unit_events)
 
     def test_ingest_skips_untagged_spans(self):
-        registry = telemetry.MetricsRegistry()
-        previous = telemetry.install(registry)
-        try:
-            with telemetry.span("plain.kernel"):
-                pass
-            with telemetry.span(
-                "tagged", trace_id="cafe", span_id="01", pid=42
-            ):
-                pass
-        finally:
-            telemetry.install(previous)
-        count = tracing.ingest_snapshot_spans(registry.snapshot())
+        snapshot = MetricsSnapshot(
+            spans=(
+                SpanRecord(name="plain.kernel", duration=0.0, start=1.0),
+                SpanRecord(
+                    name="tagged",
+                    duration=0.0,
+                    start=1.0,
+                    trace_id="cafe",
+                    span_id="01",
+                    pid=42,
+                ),
+            )
+        )
+        count = tracing.ingest_snapshot_spans(snapshot)
         assert count == 1
         events = tracing.ring().events()
         assert [e.name for e in events] == ["tagged"]
@@ -396,6 +422,42 @@ class TestServeTraceContinuity:
             return True
 
         assert self._run(scenario)
+
+    def test_concurrent_requests_nest_within_their_own_trace(self):
+        async def scenario(daemon, port):
+            results = await asyncio.gather(
+                *(
+                    post_json(
+                        "127.0.0.1",
+                        port,
+                        "/estimate",
+                        # Distinct fractions: eight separate kernel calls
+                        # instead of one batch linking every request.
+                        {"dataset": "ua-detrac",
+                         "fraction": 0.2 + 0.05 * seed, "seed": seed},
+                        headers={
+                            "X-Repro-Trace-Id": f"bbbb000000000{seed:03d}"
+                        },
+                    )
+                    for seed in range(8)
+                )
+            )
+            assert all(status == 200 for status, _ in results)
+            return telemetry.registry().snapshot()
+
+        snapshot = self._run(scenario)
+        children = 0
+        for parent in telemetry.iter_spans(snapshot):
+            for child in parent.children:
+                # A coalesced batch span continues its first request's
+                # trace and links the others.
+                links = dict(child.attributes).get("link_trace_ids", ())
+                assert (
+                    child.trace_id == parent.trace_id
+                    or parent.trace_id in links
+                ), (parent.name, parent.trace_id, child.name, child.trace_id)
+                children += 1
+        assert children == 8
 
     def test_scrape_endpoints_do_not_pollute_the_ring(self):
         async def scenario(daemon, port):

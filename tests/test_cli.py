@@ -280,6 +280,58 @@ class TestExporterFlags:
         )
 
 
+class TestTraceExport:
+    @pytest.mark.parametrize(
+        "span",
+        [
+            {"start_ts": 1.7e9, "duration_s": 0.1},
+            {"name": "serve.request", "start_ts": 0.0, "duration_s": 0.1},
+            {"name": "serve.request", "duration_s": 0.1},
+            {"name": "serve.request", "start_ts": 1.7e9, "duration_s": -1},
+        ],
+    )
+    def test_malformed_span_exits_one_without_writing(
+        self, span, tmp_path, monkeypatch, capsys
+    ):
+        import repro.cli
+
+        monkeypatch.setattr(
+            repro.cli, "_fetch_traces",
+            lambda args, path: (200, {"trace_id": "ab", "spans": [span]}),
+        )
+        output = tmp_path / "trace.json"
+        code = main(["trace", "export", "ab", "--output", str(output)])
+        assert code == 1
+        assert "malformed span" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_export_matches_the_trace_flag_exporter(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.cli
+
+        span = {
+            "name": "serve.request", "trace_id": "ab", "span_id": "01",
+            "parent_span_id": None, "tenant": "acme", "start_ts": 1.7e9,
+            "duration_s": 0.25, "pid": 4321,
+            "attributes": {"endpoint": "estimate"},
+        }
+        monkeypatch.setattr(
+            repro.cli, "_fetch_traces",
+            lambda args, path: (200, {"trace_id": "ab", "spans": [span]}),
+        )
+        output = tmp_path / "trace.json"
+        assert main(["trace", "export", "ab", "--output", str(output)]) == 0
+        payload = json.loads(output.read_text())
+        assert payload["otherData"]["exporter"] == "repro.system.observe.trace"
+        [meta] = [e for e in payload["traceEvents"] if e["ph"] == "M"]
+        [event] = [e for e in payload["traceEvents"] if e["ph"] == "X"]
+        assert meta["pid"] == event["pid"] == 4321
+        assert event["ts"] == 0.0 and event["dur"] == pytest.approx(250_000)
+        assert event["args"]["trace_id"] == "ab"
+        assert event["args"]["endpoint"] == "estimate"
+
+
 class TestSnapshotConcurrency:
     def test_write_leaves_no_temporary_behind(self, tmp_path, capsys):
         snapshot_path = tmp_path / "telemetry.json"
