@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.stats import norm
-
 from repro.errors import ConfigurationError
 
 
@@ -83,7 +81,15 @@ def z_score(delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
-    return float(norm.ppf(1.0 - delta / 2.0))
+    # ``scipy.stats.norm.ppf`` is ``ndtri(q) * 1.0 + 0.0`` for the standard
+    # normal, so this is the same float. Importing ``scipy.special`` on the
+    # first call, rather than ``scipy.stats`` at module level, keeps scipy
+    # off the import path of the CLI, the daemon and the sweeps.
+    # ``statistics.NormalDist`` is no substitute: it differs from
+    # ``norm.ppf`` in the last bits on most deltas.
+    from scipy.special import ndtri
+
+    return float(ndtri(1.0 - delta / 2.0))
 
 
 def normal_approximation_interval(

@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.stats.hypergeometric import z_score
 
 
 def _check_common(n, delta: float, value_range) -> None:
@@ -237,10 +238,6 @@ def clt_radius(n: int, delta: float, sample_std: float) -> float:
     """
     _check_common(n, delta, value_range=0.0)
     _check_std(sample_std)
-    # Local import keeps scipy out of the module import path for callers that
-    # only need the closed-form inequalities.
-    from repro.stats.hypergeometric import z_score
-
     return z_score(delta) * sample_std / math.sqrt(n)
 
 
@@ -319,7 +316,8 @@ def empirical_bernstein_radius_batch(
 
     ``delta`` may itself be an ndarray here (unlike the other batch forms)
     because the union variant spends a different ``delta_t`` per prefix
-    length; scalar callers are unaffected.
+    length. The log term is taken with :func:`math.log` per element, as the
+    scalar form does: ``np.log`` differs from it by 1 ulp on some deltas.
 
     Args:
         n: Sample sizes (scalar or ndarray).
@@ -341,7 +339,9 @@ def empirical_bernstein_radius_batch(
         )
     _check_std(sample_std)
     n = np.asarray(n, dtype=float)
-    log_term = np.log(3.0 / delta_arr)
+    log_term = np.array(
+        [math.log(3.0 / d) for d in delta_arr.flat], dtype=float
+    ).reshape(delta_arr.shape)
     return np.asarray(sample_std) * np.sqrt(2.0 * log_term / n) + (
         3.0 * np.asarray(value_range) * log_term / n
     )
@@ -406,7 +406,5 @@ def clt_radius_batch(n, delta: float, sample_std) -> np.ndarray:
     """
     _check_common(n, delta, value_range=0.0)
     _check_std(sample_std)
-    from repro.stats.hypergeometric import z_score
-
     n = np.asarray(n, dtype=float)
     return z_score(delta) * np.asarray(sample_std) / np.sqrt(n)

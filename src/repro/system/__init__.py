@@ -27,97 +27,66 @@ so examples and benchmarks can express those goals quantitatively:
   structured logging (off by default; the CLI's ``--telemetry`` enables).
 """
 
-from repro.system import telemetry
-from repro.system.camera import Camera
-from repro.system.costs import CostModel, InvocationLedger
-from repro.system.faults import (
-    ChannelDelivery,
-    FaultInjector,
-    FaultModel,
-    FaultyChannel,
-    transmit_with_retry,
-)
-from repro.system.fleet import (
-    CameraFleet,
-    CameraReport,
-    CameraStatus,
-    FleetEstimate,
-    FleetQueryProcessor,
-    FleetReport,
-    FleetSentinel,
-    FleetSentinelAudit,
-)
-from repro.system.executor import (
-    ExecutorConfig,
-    ParallelExecutor,
-    child_rng,
-    child_seed,
-    normalize_root,
-    trial_chunks,
-)
-from repro.system.network import TransmissionModel
-from repro.system.privacy import PrivacyReport, privacy_report
-from repro.system.resilience import (
-    BreakerState,
-    CameraHealth,
-    CircuitBreaker,
-    HealthLedger,
-    RetryPolicy,
-)
-from repro.system.telemetry import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    NullRegistry,
-    merge_snapshots,
-    setup_logging,
-)
+from importlib import import_module
 
-__all__ = [
-    "Administrator",
-    "BreakerState",
-    "Camera",
-    "CameraFleet",
-    "CameraHealth",
-    "CameraReport",
-    "CameraStatus",
-    "ChannelDelivery",
-    "CircuitBreaker",
-    "FaultInjector",
-    "FaultModel",
-    "FaultyChannel",
-    "FleetEstimate",
-    "FleetQueryProcessor",
-    "FleetReport",
-    "FleetSentinel",
-    "FleetSentinelAudit",
-    "CostModel",
-    "ExecutorConfig",
-    "HealthLedger",
-    "InvocationLedger",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "NullRegistry",
-    "ParallelExecutor",
-    "PrivacyReport",
-    "RetryPolicy",
-    "TransmissionModel",
-    "child_rng",
-    "child_seed",
-    "merge_snapshots",
-    "normalize_root",
-    "privacy_report",
-    "setup_logging",
-    "telemetry",
-    "transmit_with_retry",
-    "trial_chunks",
-]
+#: Public name -> the ``repro.system`` submodule that defines it (a name
+#: equal to its submodule is the submodule itself). Nothing is imported
+#: until a name is first read (PEP 562), so ``from repro.system import
+#: telemetry`` does not pay for fleet, faults, camera and resilience, and
+#: ``Administrator`` (which needs ``repro.core``, a user of this package's
+#: cost ledger) imports without a cycle.
+_EXPORTS = {
+    "Administrator": "administrator",
+    "BreakerState": "resilience",
+    "Camera": "camera",
+    "CameraFleet": "fleet",
+    "CameraHealth": "resilience",
+    "CameraReport": "fleet",
+    "CameraStatus": "fleet",
+    "ChannelDelivery": "faults",
+    "CircuitBreaker": "resilience",
+    "CostModel": "costs",
+    "ExecutorConfig": "executor",
+    "FaultInjector": "faults",
+    "FaultModel": "faults",
+    "FaultyChannel": "faults",
+    "FleetEstimate": "fleet",
+    "FleetQueryProcessor": "fleet",
+    "FleetReport": "fleet",
+    "FleetSentinel": "fleet",
+    "FleetSentinelAudit": "fleet",
+    "HealthLedger": "resilience",
+    "InvocationLedger": "costs",
+    "MetricsRegistry": "telemetry",
+    "MetricsSnapshot": "telemetry",
+    "NullRegistry": "telemetry",
+    "ParallelExecutor": "executor",
+    "PrivacyReport": "privacy",
+    "RetryPolicy": "resilience",
+    "TransmissionModel": "network",
+    "child_rng": "executor",
+    "child_seed": "executor",
+    "merge_snapshots": "telemetry",
+    "normalize_root": "executor",
+    "privacy_report": "privacy",
+    "setup_logging": "telemetry",
+    "telemetry": "telemetry",
+    "transmit_with_retry": "faults",
+    "trial_chunks": "executor",
+}
+
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
-    # Administrator depends on repro.core, which itself uses this package's
-    # cost ledger; importing it lazily breaks the cycle (PEP 562).
-    if name == "Administrator":
-        from repro.system.administrator import Administrator
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{submodule}")
+    value = module if name == submodule else getattr(module, name)
+    globals()[name] = value
+    return value
 
-        return Administrator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

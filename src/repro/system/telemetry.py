@@ -49,6 +49,7 @@ import logging
 import math
 import os
 import sys
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -593,7 +594,9 @@ class MetricsRegistry:
     snapshots for the parent to merge. Spans nest by context, not by a
     registry-wide stack, so threads and asyncio tasks sharing one
     registry each attach to their own parent. At most
-    :data:`RING_CAPACITY` root spans are kept.
+    :data:`RING_CAPACITY` root spans are kept. One lock guards the
+    counters, gauges, histograms and roots: the daemon writes them from
+    its event loop and its executor threads at once.
     """
 
     enabled = True
@@ -603,19 +606,26 @@ class MetricsRegistry:
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, HistogramStat] = {}
         self._roots: deque[SpanRecord] = deque(maxlen=RING_CAPACITY)
+        self._lock = threading.Lock()
 
     def count(self, name: str, value: float = 1.0) -> None:
         """Add to a monotonically increasing counter."""
-        self._counters[name] = self._counters.get(name, 0.0) + value
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0.0) + value
 
     def gauge(self, name: str, value: float) -> None:
         """Set a point-in-time value (last write wins)."""
-        self._gauges[name] = float(value)
+        with self._lock:
+            self._gauges[name] = float(value)
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into a histogram."""
-        stat = self._histograms.get(name, HistogramStat())
-        self._histograms[name] = stat.merged(HistogramStat.single(value))
+        self._merge_histogram(name, HistogramStat.single(value))
+
+    def _merge_histogram(self, name: str, stat: HistogramStat) -> None:
+        with self._lock:
+            existing = self._histograms.get(name, HistogramStat())
+            self._histograms[name] = existing.merged(stat)
 
     def span(self, name: str, **attributes):
         """A context manager recording a wall-time span under this name.
@@ -640,19 +650,21 @@ class MetricsRegistry:
         self.observe(f"span.{record.name}", record.duration)
 
     def _add_roots(self, records: tuple[SpanRecord, ...]) -> None:
-        overflow = len(self._roots) + len(records) - RING_CAPACITY
+        with self._lock:
+            overflow = len(self._roots) + len(records) - RING_CAPACITY
+            self._roots.extend(records)
         if overflow > 0:
             self.count("telemetry.spans_dropped", overflow)
-        self._roots.extend(records)
 
     def snapshot(self) -> MetricsSnapshot:
         """The registry's current state as a mergeable snapshot."""
-        return MetricsSnapshot(
-            counters=dict(self._counters),
-            gauges=dict(self._gauges),
-            histograms=dict(self._histograms),
-            spans=tuple(self._roots),
-        )
+        with self._lock:
+            return MetricsSnapshot(
+                counters=dict(self._counters),
+                gauges=dict(self._gauges),
+                histograms=dict(self._histograms),
+                spans=tuple(self._roots),
+            )
 
     def merge_snapshot(self, snapshot: MetricsSnapshot | None) -> None:
         """Fold a (worker) snapshot into this registry."""
@@ -663,16 +675,16 @@ class MetricsRegistry:
         for name, value in snapshot.gauges.items():
             self.gauge(name, value)
         for name, stat in snapshot.histograms.items():
-            existing = self._histograms.get(name, HistogramStat())
-            self._histograms[name] = existing.merged(stat)
+            self._merge_histogram(name, stat)
         self._add_roots(snapshot.spans)
 
     def reset(self) -> None:
         """Drop all recorded metrics and spans."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._roots.clear()
+        with self._lock:
+            self._counters.clear()
+            self._gauges.clear()
+            self._histograms.clear()
+            self._roots.clear()
 
 
 class NullRegistry(MetricsRegistry):

@@ -12,6 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+# ``z_score`` imports scipy.special on its first call so the package import
+# stays scipy-free; pay that once here, so hypothesis' per-example deadline
+# times the math under test and not a one-time import.
+import scipy.special  # noqa: F401
+
 from repro.detection import (
     DetectorSuite,
     default_suite,

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from repro.errors import ConfigurationError
 from repro.stats.hypergeometric import (
@@ -65,6 +66,16 @@ class TestZScore:
     def test_rejects_bad_delta(self, delta):
         with pytest.raises(ConfigurationError):
             z_score(delta)
+
+    # z_score uses scipy.special.ndtri so the package import stays off
+    # scipy.stats; the bits must still be exactly scipy.stats.norm.ppf's.
+    @settings(max_examples=500)
+    @given(delta=st.floats(min_value=1e-12, max_value=1.0 - 1e-12))
+    @example(delta=0.05)
+    @example(delta=0.01)
+    @example(delta=0.1)
+    def test_equals_norm_ppf_exactly(self, delta):
+        assert z_score(delta) == float(norm.ppf(1.0 - delta / 2.0))
 
 
 class TestNormalApproximationInterval:

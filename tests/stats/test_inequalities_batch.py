@@ -105,6 +105,16 @@ class TestBatchMatchesScalar:
             EDGE_SIZES,
         )
 
+    # Deltas where an ``np.log`` of the per-step delta_t is 1 ulp off the
+    # scalar form's ``math.log`` (at t=7 and t=1 respectively).
+    @pytest.mark.parametrize("delta", [0.42586564495756235, 0.820528717520108])
+    def test_empirical_bernstein_union_log_ulp_cases(self, delta):
+        assert_matches_scalar(
+            empirical_bernstein_union_radius_batch(EDGE_SIZES, delta, 0.0, 1.0),
+            lambda t: empirical_bernstein_union_radius(t, delta, 0.0, 1.0),
+            EDGE_SIZES,
+        )
+
     @settings(max_examples=25)
     @given(delta=deltas, value_range=ranges, sample_std=stds)
     def test_empirical_bernstein_serfling(self, delta, value_range, sample_std):

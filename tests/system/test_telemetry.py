@@ -201,6 +201,61 @@ class TestSpans:
             SpanRecord.from_dict(payload)
 
 
+class TestConcurrentWrites:
+    """The daemon writes one registry from its event loop and executor
+    threads at once; no update may be lost to a read-modify-write race."""
+
+    THREADS = 8
+    WRITES = 20_000
+
+    def run_threads(self, work):
+        threads = [
+            threading.Thread(target=work) for _ in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_counts_and_observations_are_all_kept(self):
+        registry = MetricsRegistry()
+
+        def work():
+            for _ in range(self.WRITES):
+                registry.count("c")
+                registry.observe("h", 1.0)
+
+        self.run_threads(work)
+        snapshot = registry.snapshot()
+        total = self.THREADS * self.WRITES
+        assert snapshot.counters["c"] == total
+        assert snapshot.histograms["h"].count == total
+        assert snapshot.histograms["h"].total == total
+
+    def test_merged_snapshots_are_all_kept(self):
+        registry = MetricsRegistry()
+        worker = MetricsRegistry()
+        worker.count("c")
+        worker.observe("h", 1.0)
+        piece = worker.snapshot()
+
+        def work():
+            for _ in range(self.WRITES // 10):
+                registry.merge_snapshot(piece)
+
+        self.run_threads(work)
+        snapshot = registry.snapshot()
+        total = self.THREADS * (self.WRITES // 10)
+        assert snapshot.counters["c"] == total
+        assert snapshot.histograms["h"].count == total
+
+
 class TestNullRegistry:
     def test_records_nothing(self):
         registry = NullRegistry()
