@@ -673,24 +673,46 @@ def cmd_runs_diff(args: argparse.Namespace) -> int:
     return 0
 
 
+def _gate_thresholds(args: argparse.Namespace) -> observe.GateThresholds:
+    """The ``runs check`` flags as gate thresholds, one per gated row."""
+    return observe.GateThresholds(**{
+        metric.threshold: getattr(args, metric.threshold)
+        for metric in observe.gate.METRICS
+        if metric.threshold is not None
+    })
+
+
+def _gate_limit(text: str) -> float:
+    """A ``runs check`` threshold: a finite, non-negative number."""
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
+def _gate_help(metric: observe.gate.Metric) -> str:
+    """``--help`` text for the flag that sets one gated row's limit."""
+    if metric.rule == "ratio":
+        return (
+            f"fail if {metric.path} exceeds this multiple of the "
+            "baseline's (default: %(default)s)"
+        )
+    if metric.slack is None:
+        default = "not checked"
+    elif metric.slack:
+        default = f"the baseline's value {metric.slack:+g}"
+    else:
+        default = "the baseline's"
+    return f"absolute {metric.rule} on {metric.path} (default: {default})"
+
+
 def cmd_runs_check(args: argparse.Namespace) -> int:
     """Gate the latest run against the baseline; non-zero on regression."""
     baseline = _load_baseline(args.baseline)
     candidate = _candidate_run(args)
-    thresholds = observe.GateThresholds(
-        max_wall_ratio=args.max_wall_ratio,
-        max_invocation_ratio=args.max_invocation_ratio,
-        min_cache_hit_ratio=args.min_cache_hit_ratio,
-        max_bound_ratio=args.max_bound_ratio,
-        min_sentinel_recall=args.min_sentinel_recall,
-        max_sentinel_fpr=args.max_sentinel_fpr,
-        max_executor_fallbacks=args.max_executor_fallbacks,
-        min_serve_speedup=args.min_serve_speedup,
-        min_serve_coalescing=args.min_serve_coalescing,
-        min_stream_fps=args.min_stream_fps,
-        max_p99_latency=args.max_p99_latency,
-    )
-    result = observe.check_run(baseline, candidate, thresholds)
+    result = observe.check_run(baseline, candidate, _gate_thresholds(args))
     print(
         f"checked {candidate.get('run_id', '?')} against baseline "
         f"{baseline.get('run_id', '?')} "
@@ -1186,62 +1208,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline", required=True, metavar="PATH",
         help="pinned baseline record JSON (or another ledger JSONL)",
     )
-    runs_check.add_argument(
-        "--max-wall-ratio", type=float, default=10.0,
-        help="fail if wall seconds exceed this multiple of the baseline",
-    )
-    runs_check.add_argument(
-        "--max-invocation-ratio", type=float, default=1.0,
-        help="fail if model invocations exceed this multiple of the "
-             "baseline (profiling is seed-deterministic, so 1.0 is safe)",
-    )
-    runs_check.add_argument(
-        "--min-cache-hit-ratio", type=float, default=None,
-        help="absolute cache hit-ratio floor (default: baseline - 0.02)",
-    )
-    runs_check.add_argument(
-        "--max-bound-ratio", type=float, default=1.001,
-        help="fail if the max bound width exceeds this multiple of the "
-             "baseline",
-    )
-    runs_check.add_argument(
-        "--min-sentinel-recall", type=float, default=None,
-        help="absolute floor on chaos-run sentinel recall "
-             "(default: the baseline's recall)",
-    )
-    runs_check.add_argument(
-        "--max-sentinel-fpr", type=float, default=None,
-        help="absolute ceiling on chaos-run sentinel false-positive "
-             "rate (default: the baseline's FPR)",
-    )
-    runs_check.add_argument(
-        "--max-executor-fallbacks", type=float, default=None,
-        help="absolute ceiling on executor serial fallbacks "
-             "(default: the baseline's count)",
-    )
-    runs_check.add_argument(
-        "--min-serve-speedup", type=float, default=None,
-        help="absolute floor on the serve benchmark's warm-daemon "
-             "speedup over a cold CLI run (default: not checked — both "
-             "sides are machine-dependent wall times)",
-    )
-    runs_check.add_argument(
-        "--min-serve-coalescing", type=float, default=None,
-        help="absolute floor on the serve benchmark's requests-per-"
-             "kernel-call coalescing ratio (default: not checked)",
-    )
-    runs_check.add_argument(
-        "--min-stream-fps", type=float, default=None,
-        help="absolute floor on the stream replay's steady-state ingest "
-             "throughput, frames/second (default: not checked — wall "
-             "times are machine-dependent)",
-    )
-    runs_check.add_argument(
-        "--max-p99-latency", type=float, default=None,
-        help="absolute ceiling, in seconds, on the serve benchmark's "
-             "warm p99 request latency (default: not checked — tail "
-             "latency is machine-dependent)",
-    )
+    gate_defaults = observe.GateThresholds()
+    for metric in observe.gate.METRICS:
+        if metric.threshold is not None:
+            runs_check.add_argument(
+                "--" + metric.threshold.replace("_", "-"),
+                type=_gate_limit,
+                default=getattr(gate_defaults, metric.threshold),
+                help=_gate_help(metric),
+            )
     runs_check.set_defaults(handler=cmd_runs_check)
 
     runs_pin = runs_sub.add_parser(

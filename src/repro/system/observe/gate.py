@@ -6,138 +6,31 @@ violation, so CI catches cost regressions — wall-time blowups, extra
 model invocations, cache hit-rate collapses, bound-width inflation —
 the moment they land rather than releases later.
 
-Threshold philosophy: the profiler is deterministic under a pinned seed,
-so invocation counts and bound widths get *tight* ratios (1.0 and ~1.0);
-wall time depends on the machine, so its default ratio is generous and
-CI overrides it per-runner class.
+One table, :data:`METRICS`, says where each metric lives in a record and
+how it is gated; :func:`check_run`, :func:`diff_runs` and the
+``repro runs check`` flags all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Mapping
-
-#: Metrics ``diff_runs`` surfaces, in display order: (label, path into
-#: the record).
-_DIFF_FIELDS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("wall_seconds", ("wall_seconds",)),
-    ("model_invocations", ("metrics", "model_invocations")),
-    ("cache_hit_ratio", ("metrics", "cache_hit_ratio")),
-    ("cache_hits", ("metrics", "cache_hits")),
-    ("cache_misses", ("metrics", "cache_misses")),
-    ("trials_priced", ("metrics", "trials_priced")),
-    ("executor_fallbacks", ("metrics", "executor_fallbacks")),
-    ("executor_units", ("facts", "executor", "units")),
-    ("executor_workers", ("facts", "executor", "workers")),
-    ("executor_chunk_size", ("facts", "executor", "chunk_size")),
-    ("executor_pool_generation", ("facts", "executor", "pool_generation")),
-    ("executor_spawn_seconds", ("facts", "executor", "spawn_seconds")),
-    (
-        "executor_dispatch_seconds_per_task",
-        ("facts", "executor", "dispatch_seconds_per_task"),
-    ),
-    ("max_bound_width", ("bounds", "max_width")),
-    ("mean_bound_width", ("bounds", "mean_width")),
-    ("sentinel_recall", ("facts", "sentinel", "recall")),
-    ("sentinel_fpr", ("facts", "sentinel", "fpr")),
-    ("sentinel_localization", ("facts", "sentinel", "localization")),
-    ("serve_p50_warm_seconds", ("facts", "serve", "p50_warm_seconds")),
-    ("serve_p99_warm_seconds", ("facts", "serve", "p99_warm_seconds")),
-    ("serve_cold_cli_seconds", ("facts", "serve", "cold_cli_seconds")),
-    ("serve_speedup", ("facts", "serve", "speedup_cold_over_warm")),
-    ("serve_coalescing_ratio", ("facts", "serve", "coalescing_ratio")),
-    ("serve_requests", ("facts", "serve", "requests")),
-    ("serve_rejected", ("facts", "serve", "rejected")),
-    (
-        "serve_batched_kernel_calls",
-        ("facts", "serve", "batched_kernel_calls"),
-    ),
-    ("stream_frames_per_sec", ("facts", "stream", "frames_per_sec")),
-    ("stream_windows", ("facts", "stream", "windows")),
-    ("stream_violations", ("facts", "stream", "violations")),
-    ("stream_repairs", ("facts", "stream", "repairs")),
-    ("stream_first_breach_count", ("facts", "stream", "first_breach_count")),
-    ("fleet_cameras", ("facts", "fleet", "telemetry", "fleet", "cameras")),
-    (
-        "fleet_violations",
-        ("facts", "fleet", "telemetry", "fleet", "violations"),
-    ),
-    (
-        "fleet_violation_concentration",
-        ("facts", "fleet", "telemetry", "fleet", "violation_concentration"),
-    ),
-)
-
-
-def _lookup(record: Mapping, path: tuple[str, ...]) -> float | None:
-    """The numeric value at ``path`` in a record, else None."""
-    node: object = record
-    for key in path:
-        if not isinstance(node, Mapping):
-            return None
-        node = node.get(key)
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        return None
-    return float(node)
 
 
 @dataclass(frozen=True)
 class GateThresholds:
-    """Limits ``check_run`` enforces (None disables that check).
+    """Limits ``check_run`` enforces, one per gated :data:`METRICS` row.
 
-    Attributes:
-        max_wall_ratio: Candidate wall seconds may be at most this many
-            times the baseline's. Generous by default — wall time is the
-            one machine-dependent metric.
-        max_invocation_ratio: Candidate model invocations may be at most
-            this many times the baseline's; 1.0 because the profiler is
-            seed-deterministic.
-        min_cache_hit_ratio: Absolute floor on the candidate's cache hit
-            ratio. None derives it from the baseline (baseline minus
-            :data:`CACHE_HIT_SLACK`); only enforced when the baseline
-            recorded a ratio.
-        max_bound_ratio: Candidate max bound width may be at most this
-            many times the baseline's; near-1 because bounds are
-            deterministic, with float-printing slack.
-        min_sentinel_recall: Absolute floor on the candidate's sentinel
-            violation-detection recall (chaos runs record it under
-            ``facts.sentinel.recall``). None derives it from the
-            baseline's recall; only enforced when both records carry
-            the value.
-        max_sentinel_fpr: Absolute ceiling on the candidate's sentinel
-            false-positive rate over clean cameras. None derives it
-            from the baseline's FPR — chaos runs are seed-
-            deterministic, so a baseline of 0 stays 0.
-        max_executor_fallbacks: Absolute ceiling on the candidate's
-            serial-fallback count (``metrics.executor_fallbacks``) — a
-            fallback means the pool path silently degraded. None derives
-            it from the baseline's count, so a clean baseline pins it
-            at 0.
-        min_serve_speedup: Absolute floor on the serving benchmark's
-            warm-daemon speedup over a cold CLI invocation
-            (``facts.serve.speedup_cold_over_warm``). None disables the
-            check entirely — both sides of the ratio are wall times, so
-            unlike the deterministic counters there is no safe
-            baseline-derived default; CI passes an explicit floor.
-        min_serve_coalescing: Absolute floor on the serving benchmark's
-            concurrent-load coalescing ratio — requests served per
-            kernel call (``facts.serve.coalescing_ratio``); 1.0 means
-            micro-batching never merged anything. None disables the
-            check — coalescing depends on request-arrival timing, so it
-            is enforced only where the harness controls concurrency.
-        min_stream_fps: Absolute floor on the stream replay's
-            steady-state ingest throughput
-            (``facts.stream.frames_per_sec``). None disables the check —
-            frames/second is a machine-dependent wall-time metric, so
-            like the serve floors it is enforced only with an explicit
-            CI-chosen value.
-        max_p99_latency: Absolute ceiling, in seconds, on the serving
-            benchmark's warm p99 latency
-            (``facts.serve.p99_warm_seconds``). None disables the check
-            — tail latency is machine-dependent, so like the other serve
-            limits it is enforced only with an explicit CI-chosen value
-            (conventionally a generous multiple of
-            ``serve_baseline.json``'s recorded p99).
+    Each field is the limit of the row that names it: a multiple of the
+    baseline for a ratio row, an absolute value for a floor or ceiling.
+    None disables the check, except on a row with a baseline slack,
+    where None derives the limit from the baseline's value. Invocations
+    and bound widths are seed-deterministic, so their ratios are tight
+    (the bound's 1.001 is float-printing slack); wall time is the
+    machine-dependent one, so its ratio is generous. The serve, stream
+    and p99 limits are wall-time or timing dependent, so they have no
+    safe baseline-derived default and are checked only when set.
     """
 
     max_wall_ratio: float | None = 10.0
@@ -153,9 +46,92 @@ class GateThresholds:
     max_p99_latency: float | None = None
 
 
-#: Slack subtracted from the baseline cache hit ratio when no explicit
-#: floor is configured.
-CACHE_HIT_SLACK = 0.02
+@dataclass(frozen=True)
+class Metric:
+    """One row of the gate table.
+
+    Attributes:
+        label: Name in diff rows, ``GateResult.checked`` and violations.
+        path: Dotted key path to the value in a ledger record.
+        threshold: The :class:`GateThresholds` field that gates it, or
+            None for a row ``diff_runs`` shows but nothing gates.
+        rule: ``"ratio"`` (candidate at most threshold x baseline; both
+            records need the value), ``"floor"`` or ``"ceiling"`` (an
+            absolute limit on the candidate).
+        slack: For a floor or ceiling left unset: the limit is the
+            baseline plus this slack, never below zero when the slack is
+            nonzero. None leaves an unset limit unchecked.
+    """
+
+    label: str
+    path: str
+    threshold: str | None = None
+    rule: str = "ratio"
+    slack: float | None = None
+
+
+#: Every metric ``diff_runs`` shows, in display order; rows with a
+#: threshold are the ones ``check_run`` gates. A fallback means the pool
+#: path silently degraded to serial, so a clean baseline pins it at 0.
+METRICS: tuple[Metric, ...] = (
+    Metric("wall_seconds", "wall_seconds", "max_wall_ratio"),
+    Metric("model_invocations", "metrics.model_invocations",
+           "max_invocation_ratio"),
+    Metric("cache_hit_ratio", "metrics.cache_hit_ratio",
+           "min_cache_hit_ratio", "floor", -0.02),
+    Metric("cache_hits", "metrics.cache_hits"),
+    Metric("cache_misses", "metrics.cache_misses"),
+    Metric("trials_priced", "metrics.trials_priced"),
+    Metric("executor_fallbacks", "metrics.executor_fallbacks",
+           "max_executor_fallbacks", "ceiling", 0.0),
+    Metric("executor_units", "facts.executor.units"),
+    Metric("executor_workers", "facts.executor.workers"),
+    Metric("executor_chunk_size", "facts.executor.chunk_size"),
+    Metric("executor_pool_generation", "facts.executor.pool_generation"),
+    Metric("executor_spawn_seconds", "facts.executor.spawn_seconds"),
+    Metric("executor_dispatch_seconds_per_task",
+           "facts.executor.dispatch_seconds_per_task"),
+    Metric("max_bound_width", "bounds.max_width", "max_bound_ratio"),
+    Metric("mean_bound_width", "bounds.mean_width"),
+    Metric("sentinel_recall", "facts.sentinel.recall", "min_sentinel_recall",
+           "floor", 0.0),
+    Metric("sentinel_fpr", "facts.sentinel.fpr", "max_sentinel_fpr",
+           "ceiling", 0.0),
+    Metric("sentinel_localization", "facts.sentinel.localization"),
+    Metric("serve_p50_warm_seconds", "facts.serve.p50_warm_seconds"),
+    Metric("serve_p99_warm_seconds", "facts.serve.p99_warm_seconds",
+           "max_p99_latency", "ceiling"),
+    Metric("serve_cold_cli_seconds", "facts.serve.cold_cli_seconds"),
+    Metric("serve_speedup", "facts.serve.speedup_cold_over_warm",
+           "min_serve_speedup", "floor"),
+    Metric("serve_coalescing_ratio", "facts.serve.coalescing_ratio",
+           "min_serve_coalescing", "floor"),
+    Metric("serve_requests", "facts.serve.requests"),
+    Metric("serve_rejected", "facts.serve.rejected"),
+    Metric("serve_batched_kernel_calls", "facts.serve.batched_kernel_calls"),
+    Metric("stream_frames_per_sec", "facts.stream.frames_per_sec",
+           "min_stream_fps", "floor"),
+    Metric("stream_windows", "facts.stream.windows"),
+    Metric("stream_violations", "facts.stream.violations"),
+    Metric("stream_repairs", "facts.stream.repairs"),
+    Metric("stream_first_breach_count", "facts.stream.first_breach_count"),
+    Metric("fleet_cameras", "facts.fleet.telemetry.fleet.cameras"),
+    Metric("fleet_violations", "facts.fleet.telemetry.fleet.violations"),
+    Metric("fleet_violation_concentration",
+           "facts.fleet.telemetry.fleet.violation_concentration"),
+)
+
+
+def _lookup(record: Mapping, path: str) -> float | None:
+    """The numeric value at dotted ``path`` in a record, else None."""
+    node: object = record
+    for key in path.split("."):
+        if not isinstance(node, Mapping):
+            return None
+        node = node.get(key)
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        return None
+    return float(node)
 
 
 @dataclass(frozen=True)
@@ -195,6 +171,36 @@ class GateResult:
         return not self.violations
 
 
+def _breach(
+    metric: Metric, base: float | None, cand: float, limit: float
+) -> GateViolation | None:
+    """The violation of one gated row, or None when it holds."""
+    label, rule = metric.label, metric.rule
+    bound = base * limit if rule == "ratio" else limit
+    if not all(math.isfinite(v) for v in (base, cand) if v is not None):
+        # Every comparison with NaN is false: unchecked, a NaN record
+        # would pass every check.
+        message = (
+            f"{label}: non-finite value (baseline {base}, candidate {cand})"
+        )
+    elif rule == "ratio" and base <= 0:
+        # No baseline magnitude to scale: any positive candidate on a
+        # zero baseline is growth the ratio cannot express.
+        if cand <= 0:
+            return None
+        bound = 0.0
+        message = f"{label}: baseline is {base:g} but candidate is {cand:g}"
+    elif rule == "ratio" and cand > bound:
+        message = f"{label}: {cand:g} exceeds {limit:g}x baseline ({base:g})"
+    elif rule == "floor" and cand < bound:
+        message = f"{label}: {cand:g} below floor {bound:g}"
+    elif rule == "ceiling" and cand > bound:
+        message = f"{label}: {cand:g} above ceiling {bound:g}"
+    else:
+        return None
+    return GateViolation(label, base, cand, bound, message)
+
+
 def check_run(
     baseline: Mapping,
     candidate: Mapping,
@@ -209,219 +215,31 @@ def check_run(
 
     Returns:
         A :class:`GateResult`; ``passed`` is False iff any enforced
-        threshold was breached. Checks whose inputs are missing from
-        either record are skipped, not failed — the gate guards
-        regressions, not record completeness.
+        threshold was breached or a gated value is NaN or infinite.
+        Checks whose inputs are missing from either record are skipped,
+        not failed — the gate guards regressions, not record
+        completeness.
     """
     limits = thresholds or GateThresholds()
     violations: list[GateViolation] = []
     checked: list[str] = []
-
-    def ratio_check(
-        metric: str,
-        path: tuple[str, ...],
-        max_ratio: float | None,
-    ) -> None:
-        if max_ratio is None:
-            return
-        base = _lookup(baseline, path)
-        cand = _lookup(candidate, path)
-        if base is None or cand is None:
-            return
-        checked.append(metric)
-        if base <= 0:
-            # No baseline magnitude to scale: any positive candidate on
-            # a zero baseline is growth the ratio cannot express.
-            if cand > 0:
-                violations.append(
-                    GateViolation(
-                        metric=metric,
-                        baseline=base,
-                        candidate=cand,
-                        limit=0.0,
-                        message=(
-                            f"{metric}: baseline is {base:g} but "
-                            f"candidate is {cand:g}"
-                        ),
-                    )
-                )
-            return
-        if cand > base * max_ratio:
-            violations.append(
-                GateViolation(
-                    metric=metric,
-                    baseline=base,
-                    candidate=cand,
-                    limit=base * max_ratio,
-                    message=(
-                        f"{metric}: {cand:g} exceeds {max_ratio:g}x "
-                        f"baseline ({base:g})"
-                    ),
-                )
-            )
-
-    ratio_check("wall_seconds", ("wall_seconds",), limits.max_wall_ratio)
-    ratio_check(
-        "model_invocations",
-        ("metrics", "model_invocations"),
-        limits.max_invocation_ratio,
-    )
-    ratio_check(
-        "max_bound_width", ("bounds", "max_width"), limits.max_bound_ratio
-    )
-
-    base_hit = _lookup(baseline, ("metrics", "cache_hit_ratio"))
-    cand_hit = _lookup(candidate, ("metrics", "cache_hit_ratio"))
-    floor = limits.min_cache_hit_ratio
-    if floor is None and base_hit is not None:
-        floor = max(base_hit - CACHE_HIT_SLACK, 0.0)
-    if floor is not None and cand_hit is not None:
-        checked.append("cache_hit_ratio")
-        if cand_hit < floor:
-            violations.append(
-                GateViolation(
-                    metric="cache_hit_ratio",
-                    baseline=base_hit,
-                    candidate=cand_hit,
-                    limit=floor,
-                    message=(
-                        f"cache_hit_ratio: {cand_hit:g} below floor "
-                        f"{floor:g}"
-                    ),
-                )
-            )
-
-    base_recall = _lookup(baseline, ("facts", "sentinel", "recall"))
-    cand_recall = _lookup(candidate, ("facts", "sentinel", "recall"))
-    recall_floor = limits.min_sentinel_recall
-    if recall_floor is None and base_recall is not None:
-        recall_floor = base_recall
-    if recall_floor is not None and cand_recall is not None:
-        checked.append("sentinel_recall")
-        if cand_recall < recall_floor:
-            violations.append(
-                GateViolation(
-                    metric="sentinel_recall",
-                    baseline=base_recall,
-                    candidate=cand_recall,
-                    limit=recall_floor,
-                    message=(
-                        f"sentinel_recall: {cand_recall:g} below floor "
-                        f"{recall_floor:g}"
-                    ),
-                )
-            )
-
-    base_fpr = _lookup(baseline, ("facts", "sentinel", "fpr"))
-    cand_fpr = _lookup(candidate, ("facts", "sentinel", "fpr"))
-    fpr_ceiling = limits.max_sentinel_fpr
-    if fpr_ceiling is None and base_fpr is not None:
-        fpr_ceiling = base_fpr
-    if fpr_ceiling is not None and cand_fpr is not None:
-        checked.append("sentinel_fpr")
-        if cand_fpr > fpr_ceiling:
-            violations.append(
-                GateViolation(
-                    metric="sentinel_fpr",
-                    baseline=base_fpr,
-                    candidate=cand_fpr,
-                    limit=fpr_ceiling,
-                    message=(
-                        f"sentinel_fpr: {cand_fpr:g} above ceiling "
-                        f"{fpr_ceiling:g}"
-                    ),
-                )
-            )
-
-    base_fallbacks = _lookup(baseline, ("metrics", "executor_fallbacks"))
-    cand_fallbacks = _lookup(candidate, ("metrics", "executor_fallbacks"))
-    fallback_ceiling = limits.max_executor_fallbacks
-    if fallback_ceiling is None and base_fallbacks is not None:
-        fallback_ceiling = base_fallbacks
-    if fallback_ceiling is not None and cand_fallbacks is not None:
-        checked.append("executor_fallbacks")
-        if cand_fallbacks > fallback_ceiling:
-            violations.append(
-                GateViolation(
-                    metric="executor_fallbacks",
-                    baseline=base_fallbacks,
-                    candidate=cand_fallbacks,
-                    limit=fallback_ceiling,
-                    message=(
-                        f"executor_fallbacks: {cand_fallbacks:g} above "
-                        f"ceiling {fallback_ceiling:g} (the pool path "
-                        "silently degraded to serial)"
-                    ),
-                )
-            )
-
-    def floor_check(
-        metric: str, path: tuple[str, ...], floor: float | None
-    ) -> None:
-        if floor is None:
-            return
-        cand = _lookup(candidate, path)
-        if cand is None:
-            return
-        checked.append(metric)
-        if cand < floor:
-            violations.append(
-                GateViolation(
-                    metric=metric,
-                    baseline=_lookup(baseline, path),
-                    candidate=cand,
-                    limit=floor,
-                    message=f"{metric}: {cand:g} below floor {floor:g}",
-                )
-            )
-
-    floor_check(
-        "serve_speedup",
-        ("facts", "serve", "speedup_cold_over_warm"),
-        limits.min_serve_speedup,
-    )
-    floor_check(
-        "serve_coalescing_ratio",
-        ("facts", "serve", "coalescing_ratio"),
-        limits.min_serve_coalescing,
-    )
-    floor_check(
-        "stream_frames_per_sec",
-        ("facts", "stream", "frames_per_sec"),
-        limits.min_stream_fps,
-    )
-
-    def ceiling_check(
-        metric: str, path: tuple[str, ...], ceiling: float | None
-    ) -> None:
-        if ceiling is None:
-            return
-        cand = _lookup(candidate, path)
-        if cand is None:
-            return
-        checked.append(metric)
-        if cand > ceiling:
-            violations.append(
-                GateViolation(
-                    metric=metric,
-                    baseline=_lookup(baseline, path),
-                    candidate=cand,
-                    limit=ceiling,
-                    message=(
-                        f"{metric}: {cand:g} above ceiling {ceiling:g}"
-                    ),
-                )
-            )
-
-    ceiling_check(
-        "serve_p99_warm_seconds",
-        ("facts", "serve", "p99_warm_seconds"),
-        limits.max_p99_latency,
-    )
-
-    return GateResult(
-        violations=tuple(violations), checked=tuple(checked)
-    )
+    for metric in METRICS:
+        if metric.threshold is None:
+            continue
+        limit = getattr(limits, metric.threshold)
+        base = _lookup(baseline, metric.path)
+        cand = _lookup(candidate, metric.path)
+        if limit is None and metric.slack is not None and base is not None:
+            limit = max(base + metric.slack, 0.0) if metric.slack else base
+        if limit is None or cand is None:
+            continue
+        if metric.rule == "ratio" and base is None:
+            continue
+        checked.append(metric.label)
+        violation = _breach(metric, base, cand, limit)
+        if violation is not None:
+            violations.append(violation)
+    return GateResult(violations=tuple(violations), checked=tuple(checked))
 
 
 def diff_runs(baseline: Mapping, candidate: Mapping) -> list[dict]:
@@ -432,30 +250,20 @@ def diff_runs(baseline: Mapping, candidate: Mapping) -> list[dict]:
         candidate: The record to compare against it.
 
     Returns:
-        One row per known metric present in either record:
+        One row per :data:`METRICS` entry present in either record:
         ``{"metric", "baseline", "candidate", "delta", "ratio"}`` (delta
         and ratio are None when either side is missing, ratio also when
         the baseline is zero).
     """
     rows: list[dict] = []
-    for label, path in _DIFF_FIELDS:
-        base = _lookup(baseline, path)
-        cand = _lookup(candidate, path)
+    for metric in METRICS:
+        base = _lookup(baseline, metric.path)
+        cand = _lookup(candidate, metric.path)
         if base is None and cand is None:
             continue
-        delta = cand - base if base is not None and cand is not None else None
-        ratio = (
-            cand / base
-            if base not in (None, 0.0) and cand is not None
-            else None
-        )
-        rows.append(
-            {
-                "metric": label,
-                "baseline": base,
-                "candidate": cand,
-                "delta": delta,
-                "ratio": ratio,
-            }
-        )
+        both = base is not None and cand is not None
+        delta = cand - base if both else None
+        ratio = cand / base if both and base != 0.0 else None
+        rows.append({"metric": metric.label, "baseline": base,
+                     "candidate": cand, "delta": delta, "ratio": ratio})
     return rows

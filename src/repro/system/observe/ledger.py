@@ -208,6 +208,43 @@ def _derive_metrics(
     }
 
 
+def build_record(
+    run_id: str, ts: float, command: str, facts: Mapping, *,
+    config: Mapping | None = None, status: str = "ok", exit_code: int = 0,
+    wall_seconds: float = 0.0, metrics: Mapping | None = None,
+    events: list | None = None, events_dropped: int = 0,
+    counters: Mapping | None = None,
+) -> dict:
+    """One schema-versioned ledger record; the only place its keys live.
+
+    ``bounds``, ``dataset`` and ``detector`` move from (a copy of)
+    ``facts`` to the top level; ``model_invocations`` leaves it, since
+    ``metrics`` carries the count.
+    """
+    facts = dict(facts)
+    facts.pop("model_invocations", None)
+    config = {} if config is None else config
+    return {
+        "schema": SCHEMA_VERSION,
+        "run_id": run_id,
+        "ts": ts,
+        "command": command,
+        "config": config,
+        "fingerprint": config_fingerprint(config),
+        "status": str(status),
+        "exit_code": int(exit_code),
+        "wall_seconds": wall_seconds,
+        "metrics": {} if metrics is None else metrics,
+        "bounds": facts.pop("bounds", None),
+        "dataset": facts.pop("dataset", None),
+        "detector": facts.pop("detector", None),
+        "facts": facts,
+        "events": [] if events is None else events,
+        "events_dropped": events_dropped,
+        "counters": {} if counters is None else counters,
+    }
+
+
 def finish_run(
     status: str = "ok",
     exit_code: int = 0,
@@ -230,31 +267,19 @@ def finish_run(
     if run is None:
         return None
     _active = None
-    facts = dict(run.facts)
-    record = {
-        "schema": SCHEMA_VERSION,
-        "run_id": run.run_id,
-        "ts": round(run.started_at, 3),
-        "command": run.command,
-        "config": run.config,
-        "fingerprint": config_fingerprint(run.config),
-        "status": str(status),
-        "exit_code": int(exit_code),
-        "wall_seconds": round(time.perf_counter() - run._started_perf, 6),
-        "metrics": _derive_metrics(snapshot, facts),
-        "bounds": facts.pop("bounds", None),
-        "dataset": facts.pop("dataset", None),
-        "detector": facts.pop("detector", None),
-        "facts": facts,
-        "events": run.events,
-        "events_dropped": run.events_dropped,
-        "counters": (
+    record = build_record(
+        run.run_id, round(run.started_at, 3), run.command, run.facts,
+        config=run.config, status=status, exit_code=exit_code,
+        wall_seconds=round(time.perf_counter() - run._started_perf, 6),
+        metrics=_derive_metrics(snapshot, run.facts),
+        events=run.events,
+        events_dropped=run.events_dropped,
+        counters=(
             dict(sorted(snapshot.counters.items()))
             if snapshot is not None
             else {}
         ),
-    }
-    facts.pop("model_invocations", None)
+    )
     if run.path is not None:
         append_record(run.path, record)
     return record

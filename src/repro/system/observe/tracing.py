@@ -328,24 +328,12 @@ def dump_flight_record(
     if run is not None and run.path is not None:
         run_ledger.append_record(
             run.path,
-            {
-                "schema": run_ledger.SCHEMA_VERSION,
-                "run_id": run.run_id,
-                "ts": record["ts"],
-                "command": "flight-recorder",
-                "config": {},
-                "fingerprint": run_ledger.config_fingerprint({}),
-                "status": "flight",
-                "exit_code": 0,
-                "wall_seconds": 0.0,
-                "metrics": {},
-                "bounds": None,
-                "dataset": None,
-                "detector": None,
-                "facts": {"flight_record": record},
-                "events": [],
-                "events_dropped": 0,
-                "counters": {},
-            },
+            run_ledger.build_record(
+                run.run_id,
+                record["ts"],
+                "flight-recorder",
+                {"flight_record": record},
+                status="flight",
+            ),
         )
     return record

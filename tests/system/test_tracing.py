@@ -315,6 +315,18 @@ class TestFlightRecorder:
         finished = [r for r in records if r["command"] == "serve"]
         assert finished[0]["facts"]["flight_record"]["spans"] == 1
 
+    def test_flight_record_has_the_finish_run_schema(self, tmp_path):
+        ledger = tmp_path / "runs.jsonl"
+        run_ledger.begin_run("serve", {"port": 0}, str(ledger))
+        try:
+            tracing.dump_flight_record("sigquit")
+        finally:
+            run_ledger.finish_run(status="ok", exit_code=0)
+        flight, finished = run_ledger.read_runs(ledger)
+        assert flight["command"] == "flight-recorder"
+        assert finished["command"] == "serve"
+        assert set(flight) == set(finished)
+
     def test_dump_without_active_run_still_returns_record(self):
         with tracing.span("lonely"):
             pass

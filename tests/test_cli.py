@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _gate_thresholds, build_parser, main
 from repro.experiments.registry import experiment_names
 from repro.experiments.workloads import model_for
 from repro.system import observe, telemetry
@@ -428,6 +429,29 @@ class TestServeParser:
             "--min-stream-fps", "5000",
         ])
         assert args.min_stream_fps == 5000.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(observe.GateThresholds)]
+    )
+    def test_runs_check_rejects_non_finite_or_negative_limits(
+        self, field, value, capsys
+    ):
+        # A NaN limit compares false with everything: --max-wall-ratio nan
+        # would pass a run of any wall time.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([
+                "runs", "check", "--baseline", "b.json",
+                f"--{field.replace('_', '-')}={value}",
+            ])
+        assert exit_info.value.code == 2
+        assert "finite number >= 0" in capsys.readouterr().err
+
+    def test_runs_check_defaults_are_the_gate_defaults(self):
+        args = build_parser().parse_args([
+            "runs", "check", "--baseline", "b.json",
+        ])
+        assert _gate_thresholds(args) == observe.GateThresholds()
 
 
 class TestStreamCommand:
