@@ -18,10 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.estimators.base import MeanEstimator, QuantileEstimator
-from repro.estimators.quantile import SmokescreenQuantileEstimator
-from repro.estimators.smokescreen import SmokescreenMeanEstimator
-from repro.estimators.variance import SmokescreenVarianceEstimator
+from repro.estimators.dispatch import estimate_values
 from repro.query.processor import QueryProcessor
 from repro.query.query import AggregateQuery
 from repro.stats.sampling import ProgressiveSampler
@@ -79,7 +76,8 @@ def determine_correction_set(
         growth_step: Step size as a corpus fraction (paper: 1%).
         tolerance: Stop when the bound's step-to-step improvement is below
             this (paper: 2%).
-        size_limit: Administrator-imposed maximum size, or None.
+        size_limit: Administrator-imposed maximum size (an integer >= 1),
+            or None for no limit.
 
     Returns:
         The constructed correction set with its sizing trace.
@@ -88,17 +86,21 @@ def determine_correction_set(
         raise ConfigurationError(f"growth step must lie in (0, 1], got {growth_step}")
     if tolerance < 0.0:
         raise ConfigurationError(f"tolerance must be non-negative, got {tolerance}")
+    if size_limit is not None and (
+        isinstance(size_limit, bool)
+        or not isinstance(size_limit, (int, np.integer))
+        or size_limit < 1
+    ):
+        raise ConfigurationError(
+            f"size_limit must be None or an integer >= 1, got {size_limit!r}"
+        )
 
     population = query.dataset.frame_count
     step_frames = max(1, int(round(population * growth_step)))
-    limit = min(size_limit or population, population)
+    limit = population if size_limit is None else min(size_limit, population)
 
     sampler = ProgressiveSampler(population, rng)
     full_values = processor.true_values(query)
-
-    mean_estimator: MeanEstimator = SmokescreenMeanEstimator()
-    quantile_estimator: QuantileEstimator = SmokescreenQuantileEstimator()
-    variance_estimator: MeanEstimator = SmokescreenVarianceEstimator()
 
     trace: list[tuple[int, float]] = []
     size = 0
@@ -107,23 +109,7 @@ def determine_correction_set(
         size = min(size + step_frames, limit)
         indices = sampler.prefix(size)
         values = full_values[indices]
-        if query.aggregate.is_mean_family:
-            bound = mean_estimator.estimate(
-                values, population, query.delta,
-                value_range=query.known_value_range,
-            ).error_bound
-        elif query.aggregate.is_variance:
-            bound = variance_estimator.estimate(
-                values, population, query.delta
-            ).error_bound
-        else:
-            bound = quantile_estimator.estimate(
-                values,
-                population,
-                query.effective_quantile,
-                query.delta,
-                query.aggregate,
-            ).error_bound
+        bound = estimate_values(query, values, population, population).error_bound
         trace.append((size, bound))
         at_limit = size >= limit
         at_elbow = (

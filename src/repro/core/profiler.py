@@ -29,14 +29,18 @@ gathers stack into one ``(trials, max_size)``
 :class:`~repro.stats.prefix_moments.PrefixMoments` matrix, and the batch
 estimator kernels price every fraction from its cumulative sums, so a
 setting costs O(trials x n) of numpy work instead of O(trials x fractions
-x n) of Python-level estimator calls. Quantile aggregates price each trial
-with the scalar estimator (their distinct-value tables have no cumulative
-form). A scalar oracle in the test suite re-draws every trial and prices
-each ``(fraction, trial)`` slice with the public estimators; the kernels
-agree with it within 1e-9, with identical ledger totals and early-stop
+x n) of Python-level estimator calls. A single plan's trials share their
+sample size and eligible universe, so they stack the same way. A scalar
+oracle in the test suite re-draws every trial and prices each
+``(fraction, trial)`` slice with the public estimators; the kernels agree
+with it within 1e-9, with identical ledger totals and early-stop
 decisions.
 
-Bound selection per setting:
+Pricing goes through :mod:`repro.estimators.dispatch`, the one pricing
+route: :func:`~repro.estimators.dispatch.estimate_batch` picks the
+estimator and scales SUM/COUNT, and
+:func:`~repro.estimators.dispatch.corrected_bounds` applies the
+correction-set policy per setting:
 
 - plan with only random interventions: the basic Smokescreen bound; if a
   correction set is supplied, the tighter of the basic and corrected
@@ -57,11 +61,7 @@ from repro.core.candidates import CandidateGrid
 from repro.core.correction import CorrectionSet
 from repro.core.profile import DegradationHypercube, Profile, ProfilePoint
 from repro.errors import ConfigurationError
-from repro.estimators.base import Estimate
-from repro.estimators.quantile import SmokescreenQuantileEstimator
-from repro.estimators.repair import ProfileRepair
-from repro.estimators.smokescreen import SmokescreenMeanEstimator
-from repro.estimators.variance import SmokescreenVarianceEstimator
+from repro.estimators import dispatch
 from repro.interventions.plan import InterventionPlan
 from repro.query.processor import QueryProcessor
 from repro.query.query import AggregateQuery
@@ -147,10 +147,6 @@ class DegradationProfiler:
         self._processor = processor
         self._trials = trials
         self._ledger = ledger
-        self._mean_estimator = SmokescreenMeanEstimator()
-        self._quantile_estimator = SmokescreenQuantileEstimator()
-        self._variance_estimator = SmokescreenVarianceEstimator()
-        self._repair = ProfileRepair(self._mean_estimator, self._quantile_estimator)
 
     def _record_sampled(
         self,
@@ -195,79 +191,8 @@ class DegradationProfiler:
             return False
         return plan.is_random_for(query.dataset)
 
-    def _estimate_values(
-        self,
-        query: AggregateQuery,
-        values: np.ndarray,
-        universe_size: int,
-        plan_is_random: bool,
-        correction: CorrectionSet | None,
-    ) -> Estimate:
-        """Bound for already-gathered sample values.
-
-        The scalar path: quantile aggregates price each trial here, and so
-        do trial samples too ragged to stack into a prefix matrix.
-        """
-        population = query.dataset.frame_count
-        if query.aggregate.is_mean_family or query.aggregate.is_variance:
-            if query.aggregate.is_variance:
-                basic = self._variance_estimator.estimate(
-                    values, universe_size, query.delta
-                )
-            else:
-                basic = self._mean_estimator.estimate(
-                    values,
-                    universe_size,
-                    query.delta,
-                    value_range=query.known_value_range,
-                )
-            scale = (
-                population if query.aggregate.name in ("SUM", "COUNT") else 1.0
-            )
-            basic = basic.scaled(scale) if scale != 1.0 else basic
-            if correction is None:
-                return basic
-            corrected_bound = self._corrected_mean_bound(
-                query, basic, correction, scale
-            )
-            if plan_is_random:
-                bound = min(basic.error_bound, corrected_bound)
-            else:
-                bound = corrected_bound
-            return Estimate(
-                value=basic.value,
-                error_bound=bound,
-                method=basic.method,
-                n=basic.n,
-                universe_size=basic.universe_size,
-                extras=dict(basic.extras),
-            )
-
-        basic = self._quantile_estimator.estimate(
-            values,
-            universe_size,
-            query.effective_quantile,
-            query.delta,
-            query.aggregate,
-        )
-        if correction is None:
-            return basic
-        corrected_bound = self._corrected_quantile_bound(query, basic, correction)
-        if plan_is_random:
-            bound = min(basic.error_bound, corrected_bound)
-        else:
-            bound = corrected_bound
-        return Estimate(
-            value=basic.value,
-            error_bound=bound,
-            method=basic.method,
-            n=basic.n,
-            universe_size=basic.universe_size,
-            extras=dict(basic.extras),
-        )
-
+    @staticmethod
     def _estimate_prefix_batch(
-        self,
         query: AggregateQuery,
         moments: PrefixMoments,
         size: int,
@@ -275,112 +200,18 @@ class DegradationProfiler:
         plan_is_random: bool,
         correction: CorrectionSet | None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batch analogue of :meth:`_estimate_values` over all trials.
-
-        Prices the length-``size`` prefix of every trial row at once with
-        the estimators' batch kernels, applying the same correction-set
-        policy. The correction estimate is computed once per call: it
-        depends only on the correction set, not on the trial.
-
-        Quantile aggregates keep the scalar path per trial (their
-        distinct-value-table estimate has no cumulative form); the batch
-        entry point is still the single place sweeps call.
+        """Price the length-``size`` prefix of every trial row at once.
 
         Returns:
             Per-trial ``(values, bounds)`` arrays, aligned with the rows.
         """
-        population = query.dataset.frame_count
-        if query.aggregate.is_mean_family or query.aggregate.is_variance:
-            if query.aggregate.is_variance:
-                estimator = self._variance_estimator
-                batch = estimator.estimate_batch(
-                    moments, size, universe_size, query.delta
-                )
-            else:
-                estimator = self._mean_estimator
-                batch = estimator.estimate_batch(
-                    moments,
-                    size,
-                    universe_size,
-                    query.delta,
-                    value_range=query.known_value_range,
-                )
-            scale = (
-                population if query.aggregate.name in ("SUM", "COUNT") else 1.0
-            )
-            if scale != 1.0:
-                batch = batch.scaled(scale)
-            if correction is None:
-                return batch.values, batch.error_bounds
-            correction_estimate = estimator.estimate(
-                correction.values,
-                population,
-                query.delta,
-                value_range=query.known_value_range,
-            )
-            if scale != 1.0:
-                correction_estimate = correction_estimate.scaled(scale)
-            corrected = ProfileRepair.corrected_mean_bound_batch(
-                batch.values, correction_estimate
-            )
-            if plan_is_random:
-                bounds = np.minimum(batch.error_bounds, corrected)
-            else:
-                bounds = corrected
-            return batch.values, bounds
-
-        values = np.empty(moments.trials)
-        bounds = np.empty(moments.trials)
-        for t in range(moments.trials):
-            estimate = self._estimate_values(
-                query,
-                moments.row(t)[:size],
-                universe_size,
-                plan_is_random,
-                correction,
-            )
-            values[t] = estimate.value
-            bounds[t] = estimate.error_bound
-        return values, bounds
-
-    def _corrected_mean_bound(
-        self,
-        query: AggregateQuery,
-        basic: Estimate,
-        correction: CorrectionSet,
-        scale: float,
-    ) -> float:
-        estimator = (
-            self._variance_estimator
-            if query.aggregate.is_variance
-            else self._mean_estimator
+        batch = dispatch.estimate_batch(
+            query, moments, size, universe_size, query.dataset.frame_count
         )
-        correction_estimate = estimator.estimate(
-            correction.values,
-            query.dataset.frame_count,
-            query.delta,
-            value_range=query.known_value_range,
-        )
-        if scale != 1.0:
-            correction_estimate = correction_estimate.scaled(scale)
-        return ProfileRepair.corrected_mean_bound(basic.value, correction_estimate)
-
-    def _corrected_quantile_bound(
-        self, query: AggregateQuery, basic: Estimate, correction: CorrectionSet
-    ) -> float:
-        correction_estimate = self._quantile_estimator.estimate(
-            correction.values,
-            query.dataset.frame_count,
-            query.effective_quantile,
-            query.delta,
-            query.aggregate,
-        )
-        return ProfileRepair.corrected_quantile_bound(
-            basic.value,
-            correction_estimate.value,
-            correction.values,
-            query.effective_quantile,
-            correction_estimate,
+        if correction is None:
+            return batch.values, batch.error_bounds
+        return batch.values, dispatch.corrected_bounds(
+            query, batch, correction.values, plan_is_random
         )
 
     def estimate_plan_seeded(
@@ -405,8 +236,8 @@ class DegradationProfiler:
             correction: Optional correction set for repair.
 
         Returns:
-            The averaged value/bound at the setting. The reported ``n`` is
-            the maximum sample size over trials.
+            The averaged value/bound at the setting, with the trials'
+            shared sample size ``n``.
         """
         plan_is_random = self._plan_is_random(query, plan)
         with telemetry.span("profiler.plan", unit=unit_index, trials=self._trials):
@@ -419,30 +250,19 @@ class DegradationProfiler:
                 )
                 samples.append(sample)
             telemetry.count("profiler.trials_priced", self._trials)
-            arrays = [
-                self._processor.values_for_sample(query, sample)
-                for sample in samples
-            ]
-            n = max(array.size for array in arrays)
-            universes = {sample.universe_size for sample in samples}
-            if len({array.size for array in arrays}) == 1 and len(universes) == 1:
-                # Trials of one plan share the eligible universe, so their
-                # samples stack into one prefix matrix.
-                values, bounds = self._estimate_prefix_batch(
-                    query, PrefixMoments(np.stack(arrays)), n, universes.pop(),
-                    plan_is_random, correction,
-                )
-            else:
-                # A plan with trial-varying eligible sets: price each trial.
-                estimates = [
-                    self._estimate_values(
-                        query, array, sample.universe_size,
-                        plan_is_random, correction,
-                    )
-                    for array, sample in zip(arrays, samples)
+            # Trials of one plan share the sample size and the eligible
+            # universe, so their samples stack into one prefix matrix.
+            matrix = np.stack(
+                [
+                    self._processor.values_for_sample(query, sample)
+                    for sample in samples
                 ]
-                values = np.array([estimate.value for estimate in estimates])
-                bounds = np.array([estimate.error_bound for estimate in estimates])
+            )
+            n = matrix.shape[1]
+            values, bounds = self._estimate_prefix_batch(
+                query, PrefixMoments(matrix), n, samples[0].universe_size,
+                plan_is_random, correction,
+            )
         return PointEstimate(
             value=float(values.mean()), error_bound=float(bounds.mean()), n=int(n)
         )

@@ -1,13 +1,26 @@
-"""Routing a (query, execution, method) triple to the right estimator.
+"""The one pricing route: a (query, sample, method) triple to an estimate.
 
-The mean-family estimators work at the mean level; SUM and COUNT scale the
-result by the corpus length (paper §3.2.2–3.2.3: the video length is known
-in advance, and scaling by a known constant leaves the relative bound
-unchanged). MAX/MIN route to the quantile estimators. This module owns that
-bookkeeping so experiments can ask for any method by name.
+Pricing a setting takes three steps, and this module is the only place
+that writes them down:
+
+1. pick the estimator for the aggregate family — Algorithm 1 (or a
+   baseline) for AVG/SUM/COUNT, Algorithm 2 for MAX/MIN, the VAR
+   extension for VAR;
+2. scale SUM/COUNT answers by the corpus length (paper §3.2.2–3.2.3: the
+   video length is known in advance, and scaling by a known constant
+   leaves the relative bound unchanged);
+3. with a correction set, apply Algorithm 3 (Equation 12 or 13) and keep
+   the tighter of the basic and corrected bounds on random plans
+   (§5.2.2) — :func:`corrected_bounds`.
+
+The profiler, the experiment trial helpers, the serving daemon and the
+correction-set heuristic all price through these functions, so
+experiments can ask for any method by name.
 """
 
 from __future__ import annotations
+
+from typing import Mapping, TypeVar
 
 import numpy as np
 
@@ -25,6 +38,7 @@ from repro.estimators.classic import (
 )
 from repro.estimators.ebgs import EBGSEstimator
 from repro.estimators.quantile import SmokescreenQuantileEstimator
+from repro.estimators.repair import ProfileRepair
 from repro.estimators.smokescreen import SmokescreenMeanEstimator
 from repro.estimators.stein import SteinEstimator
 from repro.estimators.variance import (
@@ -34,6 +48,8 @@ from repro.estimators.variance import (
 from repro.query.processor import DegradedExecution
 from repro.query.query import AggregateQuery
 from repro.stats.prefix_moments import PrefixMoments
+
+_Priced = TypeVar("_Priced", Estimate, BatchEstimate)
 
 
 def mean_estimator_registry() -> dict[str, MeanEstimator]:
@@ -66,6 +82,71 @@ def variance_estimator_registry() -> dict[str, MeanEstimator]:
     return {estimator.name: estimator for estimator in estimators}
 
 
+def _resolve(
+    query: AggregateQuery, method: str
+) -> tuple[MeanEstimator | QuantileEstimator, tuple]:
+    """The estimator for the query's aggregate family, and its arguments.
+
+    Returns the ``method`` estimator from the family's registry (mean for
+    AVG/SUM/COUNT, variance for VAR, quantile for MAX/MIN) together with
+    the arguments its ``estimate``/``estimate_batch`` take after the
+    sample and its universe size.
+    """
+    aggregate = query.aggregate
+    registry: Mapping[str, MeanEstimator | QuantileEstimator]
+    if aggregate.is_mean_family:
+        family, registry = "mean", mean_estimator_registry()
+    elif aggregate.is_variance:
+        family, registry = "variance", variance_estimator_registry()
+    else:
+        family, registry = "quantile", quantile_estimator_registry()
+    estimator = registry.get(method)
+    if estimator is None:
+        raise ConfigurationError(
+            f"unknown {family} estimator {method!r}; valid: {sorted(registry)}"
+        )
+    if family == "quantile":
+        return estimator, (query.effective_quantile, query.delta, aggregate)
+    return estimator, (query.delta, query.known_value_range)
+
+
+def _scaled(
+    query: AggregateQuery, estimate: _Priced, population_size: int
+) -> _Priced:
+    """SUM/COUNT answers scaled from the mean to the corpus length."""
+    if query.aggregate.name in ("SUM", "COUNT"):
+        return estimate.scaled(population_size)
+    return estimate
+
+
+def estimate_values(
+    query: AggregateQuery,
+    values: np.ndarray,
+    universe_size: int,
+    population_size: int,
+    method: str = "smokescreen",
+) -> Estimate:
+    """Estimate a query's answer and error bound from sampled values.
+
+    Args:
+        query: The query (selects the aggregate and its parameters).
+        values: The sampled values, in draw order.
+        universe_size: Eligible-universe size the sample was drawn from.
+        population_size: Total corpus length, for SUM/COUNT scaling.
+        method: Estimator name — one of the mean registry for
+            AVG/SUM/COUNT (``smokescreen``, ``ebgs``, ``hoeffding``,
+            ``hoeffding-serfling``, ``clt``), the variance registry for
+            VAR (``smokescreen``, ``clt``) or the quantile registry for
+            MAX/MIN (``smokescreen``, ``stein``).
+
+    Returns:
+        The estimate, with SUM/COUNT answers scaled to the corpus length.
+    """
+    estimator, arguments = _resolve(query, method)
+    estimate = estimator.estimate(values, universe_size, *arguments)
+    return _scaled(query, estimate, population_size)
+
+
 def estimate_query(
     query: AggregateQuery,
     execution: DegradedExecution,
@@ -77,55 +158,17 @@ def estimate_query(
         query: The query (selects the aggregate and its parameters).
         execution: A degraded execution produced by
             :meth:`repro.query.processor.QueryProcessor.execute`.
-        method: Estimator name — one of the mean registry for
-            AVG/SUM/COUNT (``smokescreen``, ``ebgs``, ``hoeffding``,
-            ``hoeffding-serfling``, ``clt``) or the quantile registry for
-            MAX/MIN (``smokescreen``, ``stein``).
+        method: Estimator name, as for :func:`estimate_values`.
 
     Returns:
         The estimate, with SUM/COUNT answers scaled to the corpus length.
     """
-    if query.aggregate.is_mean_family:
-        registry = mean_estimator_registry()
-        estimator = registry.get(method)
-        if estimator is None:
-            raise ConfigurationError(
-                f"unknown mean estimator {method!r}; valid: {sorted(registry)}"
-            )
-        estimate = estimator.estimate(
-            execution.values,
-            execution.universe_size,
-            query.delta,
-            value_range=query.known_value_range,
-        )
-        if query.aggregate.name in ("SUM", "COUNT"):
-            return estimate.scaled(execution.population_size)
-        return estimate
-
-    if query.aggregate.is_variance:
-        registry_v = variance_estimator_registry()
-        estimator_v = registry_v.get(method)
-        if estimator_v is None:
-            raise ConfigurationError(
-                f"unknown variance estimator {method!r}; valid: "
-                f"{sorted(registry_v)}"
-            )
-        return estimator_v.estimate(
-            execution.values, execution.universe_size, query.delta
-        )
-
-    registry_q = quantile_estimator_registry()
-    estimator_q = registry_q.get(method)
-    if estimator_q is None:
-        raise ConfigurationError(
-            f"unknown quantile estimator {method!r}; valid: {sorted(registry_q)}"
-        )
-    return estimator_q.estimate(
+    return estimate_values(
+        query,
         execution.values,
         execution.universe_size,
-        query.effective_quantile,
-        query.delta,
-        query.aggregate,
+        execution.population_size,
+        method,
     )
 
 
@@ -137,7 +180,7 @@ def estimate_batch(
     population_size: int,
     method: str = "smokescreen",
 ) -> BatchEstimate:
-    """Batch analogue of :func:`estimate_query` over prefix moments.
+    """Batch analogue of :func:`estimate_values` over prefix moments.
 
     Prices the length-``n`` prefix of every trial at once with the same
     routing and scaling as the scalar path: mean-family methods use their
@@ -153,54 +196,65 @@ def estimate_batch(
         n: Prefix length to price.
         universe_size: Eligible-universe size the trials sampled from.
         population_size: Total corpus length, for SUM/COUNT scaling.
-        method: Estimator name, as for :func:`estimate_query`.
+        method: Estimator name, as for :func:`estimate_values`.
 
     Returns:
         Per-trial values and bounds, SUM/COUNT answers scaled to the
         corpus length.
     """
-    if query.aggregate.is_mean_family:
-        registry = mean_estimator_registry()
-        estimator = registry.get(method)
-        if estimator is None:
-            raise ConfigurationError(
-                f"unknown mean estimator {method!r}; valid: {sorted(registry)}"
-            )
-        batch = estimator.estimate_batch(
-            moments,
-            n,
-            universe_size,
-            query.delta,
-            value_range=query.known_value_range,
-        )
-        if query.aggregate.name in ("SUM", "COUNT"):
-            return batch.scaled(population_size)
-        return batch
+    estimator, arguments = _resolve(query, method)
+    batch = estimator.estimate_batch(moments, n, universe_size, *arguments)
+    return _scaled(query, batch, population_size)
 
-    if query.aggregate.is_variance:
-        registry_v = variance_estimator_registry()
-        estimator_v = registry_v.get(method)
-        if estimator_v is None:
-            raise ConfigurationError(
-                f"unknown variance estimator {method!r}; valid: "
-                f"{sorted(registry_v)}"
-            )
-        return estimator_v.estimate_batch(moments, n, universe_size, query.delta)
 
-    registry_q = quantile_estimator_registry()
-    estimator_q = registry_q.get(method)
-    if estimator_q is None:
-        raise ConfigurationError(
-            f"unknown quantile estimator {method!r}; valid: {sorted(registry_q)}"
-        )
-    return estimator_q.estimate_batch(
-        moments,
-        n,
-        universe_size,
-        query.effective_quantile,
-        query.delta,
-        query.aggregate,
+def corrected_bounds(
+    query: AggregateQuery,
+    batch: BatchEstimate,
+    correction_values: np.ndarray,
+    plan_is_random: bool,
+) -> np.ndarray:
+    """Per-trial bounds under Algorithm 3 and the §5.2.2 policy.
+
+    The correction set — a random sample of the whole corpus — is priced
+    once with the batch's method. Each trial's degraded answer is then
+    repaired with Equation (12) for AVG/SUM/COUNT/VAR or Equation (13) for
+    MAX/MIN. A plan with only random interventions keeps the tighter of
+    the basic and corrected bounds; any other plan gets the corrected one.
+
+    Args:
+        query: The query the batch priced.
+        batch: Per-trial basic estimates from :func:`estimate_batch`.
+        correction_values: The correction set's values.
+        plan_is_random: Whether the degraded samples came from random
+            interventions only.
+
+    Returns:
+        Per-trial error bounds, aligned with ``batch.values``.
+    """
+    population = query.dataset.frame_count
+    reference = estimate_values(
+        query, correction_values, population, population, batch.method
     )
+    if query.aggregate.is_mean_family or query.aggregate.is_variance:
+        corrected = ProfileRepair.corrected_mean_bound_batch(
+            batch.values, reference
+        )
+    else:
+        corrected = np.array(
+            [
+                ProfileRepair.corrected_quantile_bound(
+                    float(value),
+                    reference.value,
+                    correction_values,
+                    query.effective_quantile,
+                    reference,
+                )
+                for value in batch.values
+            ]
+        )
+    if plan_is_random:
+        return np.minimum(batch.error_bounds, corrected)
+    return corrected
 
 
 def estimate_rows(

@@ -16,6 +16,7 @@ import numpy as np
 from repro.core.correction import CorrectionSet, determine_correction_set
 from repro.core.profiler import DegradationProfiler
 from repro.errors import ConfigurationError
+from repro.estimators.dispatch import estimate_values
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.trials import BOUND_DISPLAY_CAP, capped
 from repro.experiments.workloads import UA_DETRAC, Workload, shared_suite
@@ -80,12 +81,6 @@ def run_fig9(
     for index in range(len(INTERVENTION_SETS)):
         series[f"set{index + 1}_corrected_bound"] = []
 
-    from repro.estimators.quantile import SmokescreenQuantileEstimator
-    from repro.estimators.smokescreen import SmokescreenMeanEstimator
-
-    mean_estimator = SmokescreenMeanEstimator()
-    quantile_estimator = SmokescreenQuantileEstimator()
-
     for fraction in fractions:
         size = max(1, round(population * fraction))
         own_sum = 0.0
@@ -99,13 +94,7 @@ def run_fig9(
                 error_bound=float("nan"),
                 trace=((size, float("nan")),),
             )
-            if aggregate.is_mean_family:
-                own = mean_estimator.estimate(values, population, query.delta)
-            else:
-                own = quantile_estimator.estimate(
-                    values, population, query.effective_quantile, query.delta,
-                    aggregate,
-                )
+            own = estimate_values(query, values, population, population)
             own_sum += capped(own.error_bound)
             for index, plan in enumerate(INTERVENTION_SETS):
                 # Unit 0 of root seed + 1 for every call: each correction

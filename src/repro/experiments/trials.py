@@ -6,11 +6,11 @@ per trial and feed the *same* sample to every method, which is both faster
 (model outputs are cached) and a fairer comparison (methods differ only in
 their estimation, not their luck).
 
-Trials are priced together: when every trial's sample has the same size
-and universe, the samples stack into one prefix-moment matrix and each
-method is priced for all trials by one batch-kernel call. Samples too
-ragged to stack, and quantile repairs (which have no batch form), fall
-back to the scalar estimators trial by trial.
+Trials are priced together through :mod:`repro.estimators.dispatch`, the
+one pricing route: a setting's trial samples share their size and
+universe, so they stack into one prefix-moment matrix, each method is
+priced for all trials by one batch call, and a correction set repairs
+every trial's bound in one more call.
 
 The ``*_seeded`` entry points give every trial its own
 :func:`~repro.system.executor.child_rng` stream keyed on
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.estimators.base import Estimate
-from repro.estimators.dispatch import estimate_batch, estimate_query
+from repro.estimators.dispatch import corrected_bounds, estimate_batch
 from repro.experiments.metrics import true_error
 from repro.interventions.plan import InterventionPlan
 from repro.query.processor import QueryProcessor
@@ -90,10 +89,7 @@ def run_method_trials_chunk(
     Returns per-trial ``(bounds, errors)`` arrays per method. The trial
     executions stack into one prefix-moment matrix and each method is
     priced once across all trials by
-    :func:`repro.estimators.dispatch.estimate_batch`. Trials whose
-    executions differ in shape — a plan with trial-varying eligible sets —
-    fall back to :func:`~repro.estimators.dispatch.estimate_query` per
-    trial.
+    :func:`repro.estimators.dispatch.estimate_batch`.
     """
     processor, query = chunk.processor, chunk.query
     executions = [
@@ -102,44 +98,32 @@ def run_method_trials_chunk(
         )
         for t in chunk.trial_indices
     ]
-    sizes = {execution.values.size for execution in executions}
-    universes = {execution.universe_size for execution in executions}
-    populations = {execution.population_size for execution in executions}
-    if len(sizes) == len(universes) == len(populations) == 1 and 0 not in sizes:
-        moments = PrefixMoments(
-            np.stack([execution.values for execution in executions])
+    matrix = np.stack([execution.values for execution in executions])
+    moments = PrefixMoments(matrix)
+    per_method: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for method in chunk.methods:
+        batch = estimate_batch(
+            query,
+            moments,
+            matrix.shape[1],
+            executions[0].universe_size,
+            executions[0].population_size,
+            method,
         )
-        per_method: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for method in chunk.methods:
-            batch = estimate_batch(
-                query,
-                moments,
-                next(iter(sizes)),
-                next(iter(universes)),
-                next(iter(populations)),
-                method,
-            )
-            per_method[method] = (
-                batch.error_bounds,
-                np.array(
-                    [
-                        true_error(processor, query, float(value))
-                        for value in batch.values
-                    ]
-                ),
-            )
-        return per_method
-    bounds: dict[str, list[float]] = {method: [] for method in chunk.methods}
-    errors: dict[str, list[float]] = {method: [] for method in chunk.methods}
-    for execution in executions:
-        for method in chunk.methods:
-            estimate: Estimate = estimate_query(query, execution, method)
-            bounds[method].append(estimate.error_bound)
-            errors[method].append(true_error(processor, query, estimate.value))
-    return {
-        method: (np.array(bounds[method]), np.array(errors[method]))
-        for method in chunk.methods
-    }
+        per_method[method] = (
+            batch.error_bounds,
+            _true_errors(processor, query, batch.values),
+        )
+    return per_method
+
+
+def _true_errors(
+    processor: QueryProcessor, query: AggregateQuery, values: np.ndarray
+) -> np.ndarray:
+    """Per-trial true errors of the estimated answers."""
+    return np.array(
+        [true_error(processor, query, float(value)) for value in values]
+    )
 
 
 def run_method_trials_seeded(
@@ -262,123 +246,30 @@ def _repair_trial_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (capped uncorrected, capped corrected, error) arrays.
 
-    Mean-family and variance settings stack the trial samples into a
-    prefix matrix, price every trial's basic estimate with one batch call,
-    and broadcast the Equation (12) correction over the per-trial answers;
-    quantile settings price trial by trial (their estimator and Equation
-    (13) have no batch form), as do samples too ragged to stack.
+    The trial samples stack into one prefix matrix, one
+    :func:`~repro.estimators.dispatch.estimate_batch` call prices every
+    trial's basic estimate, and one
+    :func:`~repro.estimators.dispatch.corrected_bounds` call repairs them
+    against the *fixed* correction set.
     """
-    from repro.estimators.quantile import SmokescreenQuantileEstimator
-    from repro.estimators.repair import ProfileRepair
-    from repro.estimators.smokescreen import SmokescreenMeanEstimator
-    from repro.estimators.variance import SmokescreenVarianceEstimator
-
-    mean_estimator = SmokescreenMeanEstimator()
-    quantile_estimator = SmokescreenQuantileEstimator()
-    variance_estimator = SmokescreenVarianceEstimator()
-    population = query.dataset.frame_count
-    is_random = plan.is_random_for(query.dataset)
-
-    if query.aggregate.is_mean_family:
-        correction_estimate = mean_estimator.estimate(
-            correction_values, population, query.delta,
-            value_range=query.known_value_range,
-        )
-    elif query.aggregate.is_variance:
-        correction_estimate = variance_estimator.estimate(
-            correction_values, population, query.delta
-        )
-    else:
-        correction_estimate = quantile_estimator.estimate(
-            correction_values,
-            population,
-            query.effective_quantile,
-            query.delta,
-            query.aggregate,
-        )
-
     samples = [plan.draw(query.dataset, rng, processor.suite) for rng in rngs]
-    value_arrays = [
-        processor.values_for_sample(query, sample) for sample in samples
-    ]
-
-    if (
-        samples
-        and (query.aggregate.is_mean_family or query.aggregate.is_variance)
-        and len({array.size for array in value_arrays}) == 1
-        and len({sample.universe_size for sample in samples}) == 1
-        and value_arrays[0].size > 0
-    ):
-        estimator = (
-            variance_estimator if query.aggregate.is_variance else mean_estimator
-        )
-        moments = PrefixMoments(np.stack(value_arrays))
-        batch = estimator.estimate_batch(
-            moments,
-            value_arrays[0].size,
-            samples[0].universe_size,
-            query.delta,
-            value_range=query.known_value_range,
-        )
-        corrected = ProfileRepair.corrected_mean_bound_batch(
-            batch.values, correction_estimate
-        )
-        if is_random:
-            corrected = np.minimum(batch.error_bounds, corrected)
-        errors = np.array(
-            [
-                true_error(processor, query, float(value))
-                for value in batch.values
-            ]
-        )
-        return (
-            np.minimum(batch.error_bounds, BOUND_DISPLAY_CAP),
-            np.minimum(corrected, BOUND_DISPLAY_CAP),
-            errors,
-        )
-
-    uncorrected_list: list[float] = []
-    corrected_list: list[float] = []
-    error_list: list[float] = []
-    for trial, sample in enumerate(samples):
-        values = value_arrays[trial]
-        if query.aggregate.is_mean_family or query.aggregate.is_variance:
-            estimator = (
-                variance_estimator
-                if query.aggregate.is_variance
-                else mean_estimator
-            )
-            basic = estimator.estimate(
-                values, sample.universe_size, query.delta,
-                value_range=query.known_value_range,
-            )
-            corrected = ProfileRepair.corrected_mean_bound(
-                basic.value, correction_estimate
-            )
-        else:
-            basic = quantile_estimator.estimate(
-                values,
-                sample.universe_size,
-                query.effective_quantile,
-                query.delta,
-                query.aggregate,
-            )
-            corrected = ProfileRepair.corrected_quantile_bound(
-                basic.value,
-                correction_estimate.value,
-                correction_values,
-                query.effective_quantile,
-                correction_estimate,
-            )
-        if is_random:
-            corrected = min(basic.error_bound, corrected)
-        uncorrected_list.append(capped(basic.error_bound))
-        corrected_list.append(capped(corrected))
-        error_list.append(true_error(processor, query, basic.value))
+    matrix = np.stack(
+        [processor.values_for_sample(query, sample) for sample in samples]
+    )
+    batch = estimate_batch(
+        query,
+        PrefixMoments(matrix),
+        matrix.shape[1],
+        samples[0].universe_size,
+        query.dataset.frame_count,
+    )
+    corrected = corrected_bounds(
+        query, batch, correction_values, plan.is_random_for(query.dataset)
+    )
     return (
-        np.array(uncorrected_list),
-        np.array(corrected_list),
-        np.array(error_list),
+        np.minimum(batch.error_bounds, BOUND_DISPLAY_CAP),
+        np.minimum(corrected, BOUND_DISPLAY_CAP),
+        _true_errors(processor, query, batch.values),
     )
 
 

@@ -98,3 +98,12 @@ class TestDetermineCorrectionSet:
             processor, avg_query, rng, tolerance=0.0, size_limit=limit
         )
         assert correction.size == limit
+
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_rejects_non_positive_size_limit(
+        self, processor, avg_query, rng, limit
+    ):
+        # 0 used to read as "no limit"; a negative limit failed deep in the
+        # sampler. Both are rejected at the boundary, naming the argument.
+        with pytest.raises(ConfigurationError, match="size_limit"):
+            determine_correction_set(processor, avg_query, rng, size_limit=limit)

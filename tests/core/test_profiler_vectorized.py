@@ -45,9 +45,9 @@ def kernel_and_oracle(monkeypatch, run):
     return kernel, run()
 
 
-def oracle_point(processor, query, plan, trials, root):
+def oracle_point(processor, query, plan, trials, root, correction=None):
     point, _ = scalar_oracle.plan_unit(
-        PlanUnit(query=query, plan=plan, correction=None, trials=trials,
+        PlanUnit(query=query, plan=plan, correction=correction, trials=trials,
                  root=(root,), unit_index=0, suite=processor.suite)
     )
     return point
@@ -139,6 +139,42 @@ class TestSamplingSweepDifferential:
             rtol=RTOL, atol=ATOL,
         )
 
+    @pytest.mark.parametrize(
+        "aggregate, resolution",
+        [
+            # Random plan: the tighter of the basic and Eq. 13 bounds.
+            pytest.param(Aggregate.MAX, None, id="max-random"),
+            # Non-random plan: the Eq. 13 bound alone.
+            pytest.param(Aggregate.MAX, Resolution(160), id="max-resolution"),
+            pytest.param(Aggregate.VAR, Resolution(160), id="var-resolution"),
+        ],
+    )
+    def test_sweep_with_correction_set_matches_loop(
+        self, processor, detrac_dataset, yolo_car, aggregate, resolution,
+        monkeypatch,
+    ):
+        query = AggregateQuery(detrac_dataset, yolo_car, aggregate)
+        correction = determine_correction_set(
+            processor, query, np.random.default_rng(12345)
+        )
+        profiler = DegradationProfiler(processor, trials=3)
+        profile_vec, profile_loop = kernel_and_oracle(
+            monkeypatch,
+            lambda: profiler.profile_sampling_seeded(
+                query, FRACTIONS, root=19, resolution=resolution,
+                correction=correction,
+            ),
+        )
+        np.testing.assert_allclose(
+            profile_vec.error_bounds(), profile_loop.error_bounds(),
+            rtol=RTOL, atol=ATOL,
+        )
+        np.testing.assert_allclose(
+            [point.value for point in profile_vec.points],
+            [point.value for point in profile_loop.points],
+            rtol=RTOL, atol=ATOL,
+        )
+
     def test_early_stop_keeps_same_points(
         self, processor, avg_query, monkeypatch
     ):
@@ -155,15 +191,41 @@ class TestSamplingSweepDifferential:
 
 
 class TestPointEstimates:
-    @pytest.mark.parametrize("aggregate", [Aggregate.AVG, Aggregate.SUM])
+    @pytest.mark.parametrize(
+        "aggregate, knobs, corrected",
+        [
+            pytest.param(Aggregate.AVG, {}, False, id="Aggregate.AVG"),
+            pytest.param(Aggregate.SUM, {}, False, id="Aggregate.SUM"),
+            # Random plan: the tighter of the basic and Eq. 13 bounds.
+            pytest.param(Aggregate.MAX, {}, True, id="max-sampling-corrected"),
+            # Non-random plan: the Eq. 13 bound alone.
+            pytest.param(
+                Aggregate.MAX, {"p": 256}, True, id="max-resolution-corrected"
+            ),
+            pytest.param(
+                Aggregate.VAR, {"p": 256}, True, id="var-resolution-corrected"
+            ),
+        ],
+    )
     def test_estimate_plan_matches_loop(
-        self, processor, detrac_dataset, yolo_car, aggregate
+        self, processor, detrac_dataset, yolo_car, aggregate, knobs, corrected
     ):
         query = AggregateQuery(detrac_dataset, yolo_car, aggregate)
-        plan = InterventionPlan.from_knobs(f=0.1)
+        plan = InterventionPlan.from_knobs(f=0.1, **knobs)
+        correction = (
+            determine_correction_set(
+                processor, query, np.random.default_rng(12345)
+            )
+            if corrected
+            else None
+        )
         profiler = DegradationProfiler(processor, trials=3)
-        point_vec = profiler.estimate_plan_seeded(query, plan, root=9, unit_index=0)
-        point_loop = oracle_point(processor, query, plan, trials=3, root=9)
+        point_vec = profiler.estimate_plan_seeded(
+            query, plan, root=9, unit_index=0, correction=correction
+        )
+        point_loop = oracle_point(
+            processor, query, plan, trials=3, root=9, correction=correction
+        )
         assert point_vec.value == pytest.approx(point_loop.value, rel=RTOL)
         assert point_vec.error_bound == pytest.approx(
             point_loop.error_bound, rel=RTOL

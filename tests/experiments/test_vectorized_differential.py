@@ -11,11 +11,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.detection import default_suite, yolo_v4_like
 from repro.experiments.fig4_bound_comparison import run_fig4
 from repro.experiments.fig6_profile_repair import run_fig6
 from repro.experiments.timing import run_timing
+from repro.experiments.trials import run_repair_trials_seeded
+from repro.interventions import InterventionPlan
+from repro.query import AggregateQuery, QueryProcessor
 from repro.query.aggregates import Aggregate
 from repro.system.costs import InvocationLedger
+from repro.video import ua_detrac
 from tests import scalar_oracle
 
 FRAMES = 2500
@@ -47,14 +52,52 @@ class TestFig4Differential:
 
 
 class TestFig6Differential:
-    @pytest.mark.parametrize("axis", ["sampling", "resolution"])
-    def test_row_matches_loop(self, axis, monkeypatch):
+    @pytest.mark.parametrize(
+        "aggregate, axis",
+        [
+            pytest.param(Aggregate.AVG, "sampling", id="sampling"),
+            pytest.param(Aggregate.AVG, "resolution", id="resolution"),
+            pytest.param(Aggregate.MAX, "resolution", id="max-resolution"),
+        ],
+    )
+    def test_row_matches_loop(self, aggregate, axis, monkeypatch):
         common = dict(trials=6, frame_count=FRAMES, seed=3)
-        vec = run_fig6("ua-detrac", Aggregate.AVG, axis, **common)
+        vec = run_fig6("ua-detrac", aggregate, axis, **common)
         scalar_oracle.install(monkeypatch)
-        loop = run_fig6("ua-detrac", Aggregate.AVG, axis, **common)
+        loop = run_fig6("ua-detrac", aggregate, axis, **common)
         assert vec.knobs == loop.knobs
         assert_series_close(vec, loop)
+
+
+class TestRepairTrialsDifferential:
+    @pytest.mark.parametrize(
+        "aggregate", [Aggregate.AVG, Aggregate.SUM, Aggregate.COUNT]
+    )
+    def test_summary_matches_loop(self, aggregate, monkeypatch):
+        # SUM/COUNT answers are scaled to the corpus length before they are
+        # scored against the corpus total, as in every other pricing path.
+        query = AggregateQuery(
+            ua_detrac(frame_count=FRAMES), yolo_v4_like(), aggregate
+        )
+        processor = QueryProcessor(default_suite())
+        correction = processor.true_values(query)[
+            np.random.default_rng(0).choice(FRAMES, size=100, replace=False)
+        ]
+        plan = InterventionPlan.from_knobs(f=0.2, p=320)
+
+        def run():
+            return run_repair_trials_seeded(
+                processor, query, plan, correction, trials=6, root=3
+            )
+
+        vec = run()
+        scalar_oracle.install(monkeypatch)
+        loop = run()
+        np.testing.assert_allclose(
+            [vec.uncorrected_bound, vec.corrected_bound, vec.true_error],
+            [loop.uncorrected_bound, loop.corrected_bound, loop.true_error],
+            rtol=RTOL, atol=ATOL,
+        )
 
 
 class TestTimingDifferential:
