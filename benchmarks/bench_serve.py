@@ -91,7 +91,6 @@ async def _bench_daemon() -> dict:
         port=0,
         datasets=("ua-detrac",),
         frames=FRAMES,
-        tick_seconds=0.002,
     )
     daemon = ServeDaemon(config)
     warmup_started = time.perf_counter()

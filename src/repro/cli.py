@@ -421,7 +421,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         cache_limit_bytes=limit,
-        tick_seconds=args.tick_ms / 1000.0,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         tenant_rate=args.tenant_rate,
@@ -1044,11 +1043,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-limit-mb", type=float, default=None,
         help="LRU byte budget for --cache-dir, in megabytes",
-    )
-    serve.add_argument(
-        "--tick-ms", type=float, default=5.0,
-        help="micro-batch window: how long the first queued request "
-             "waits for compatible companions (milliseconds)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=64,

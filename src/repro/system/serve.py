@@ -17,7 +17,7 @@ framework, no new dependencies):
 - **Micro-batching** (:class:`MicroBatcher`): an admission-controlled
   request queue coalesces *compatible* queued requests — same corpus,
   detector, degradation plan, aggregate and estimator — into a single
-  :func:`~repro.estimators.dispatch.estimate_rows` kernel call per tick,
+  :func:`~repro.estimators.dispatch.estimate_rows` kernel call,
   turning N concurrent single-trial requests into one ``(N, n)``
   :class:`~repro.stats.prefix_moments.PrefixMoments` pass. Every request
   keeps its own seed stream, so batched answers are **bit-identical** to
@@ -152,6 +152,29 @@ def _knob(payload: Mapping, name: str, default, kind):
         ) from None
 
 
+def _seed(payload: Mapping, default: int) -> int:
+    """The request's ``seed``: a non-negative integer, or ``default``.
+
+    An integral float (``3.0``) is accepted; ``1.5``, a negative number,
+    a bool or a string is refused here, at the boundary, rather than
+    truncated or left to fail inside a kernel call shared with other
+    tenants' requests.
+
+    Raises:
+        RequestError: The seed is not a non-negative integer.
+    """
+    value = payload.get("seed")
+    if value is None:
+        return default
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise RequestError(
+            f"seed must be a non-negative integer, got {value!r}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Daemon configuration.
@@ -167,9 +190,6 @@ class ServeConfig:
             a single kernel call and always run in-process).
         cache_dir: Persistent detector-cache directory, or None.
         cache_limit_bytes: LRU byte budget for ``cache_dir``.
-        tick_seconds: Micro-batch window: after the first queued request
-            the batcher waits this long for compatible companions before
-            firing the kernel.
         max_batch: Hard cap on requests coalesced into one kernel call.
         max_queue: Global admission cap on queued-but-unserved requests.
         tenant_rate: Per-tenant sustained budget, requests/second.
@@ -185,7 +205,6 @@ class ServeConfig:
     workers: int | str = 1
     cache_dir: str | None = None
     cache_limit_bytes: int | None = None
-    tick_seconds: float = 0.005
     max_batch: int = 64
     max_queue: int = 256
     tenant_rate: float = 50.0
@@ -198,8 +217,6 @@ class ServeConfig:
                 raise RequestError(
                     f"unknown dataset {name!r}; valid: {DATASET_NAMES}"
                 )
-        if self.tick_seconds < 0:
-            raise RequestError("tick_seconds must be non-negative")
         if self.max_batch < 1 or self.max_queue < 1:
             raise RequestError("max_batch and max_queue must be positive")
         rate = float(self.tenant_rate)
@@ -307,7 +324,6 @@ class QueryRequest:
             fraction = None if fraction is None else float(fraction)
             resolution = payload.get("resolution")
             resolution = None if resolution is None else int(resolution)
-            seed = int(payload.get("seed", 0))
             delta = float(payload.get("delta", config.delta))
             trials = int(payload.get("trials", 1))
             fraction_step = float(payload.get("fraction_step", 0.25))
@@ -318,6 +334,7 @@ class QueryRequest:
             max_fraction = None if max_fraction is None else float(max_fraction)
         except (TypeError, ValueError) as error:
             raise RequestError(f"malformed numeric field: {error}")
+        seed = _seed(payload, 0)
         if fraction is not None and not 0.0 < fraction <= 1.0:
             raise RequestError(f"fraction must lie in (0, 1], got {fraction}")
         if not 0.0 < delta < 1.0:
@@ -797,9 +814,7 @@ class ServeSession:
         if not 0.0 < delta < 1.0:
             raise RequestError(f"delta must lie in (0, 1), got {delta}")
         tenant = str(payload.get("tenant") or "anonymous")
-        seed = _knob(payload, "seed", 7, int)
-        if seed < 0:
-            raise RequestError(f"seed must be non-negative, got {seed}")
+        seed = _seed(payload, 7)
         window = _knob(payload, "window", 480, int)
         min_count = _knob(payload, "min_count", 30, int)
         patience = _knob(payload, "patience", 2, int)
@@ -1006,13 +1021,16 @@ class _Pending:
 
 
 class MicroBatcher:
-    """The admission-controlled queue and per-tick coalescing loop.
+    """The admission-controlled queue and work-conserving coalescing loop.
 
-    One background task pulls the queue: after the first request arrives
-    it waits ``tick_seconds`` for companions, drains everything queued,
-    groups by :meth:`QueryRequest.batch_key`, and serves each group with
-    one kernel call on a dedicated executor thread (keeping the event
-    loop free for ``/metrics`` and admission while kernels run).
+    One background task pulls the queue: it takes the first request,
+    drains whatever else is already queued (up to ``max_batch``) without
+    waiting, groups by :meth:`QueryRequest.batch_key`, and serves each
+    group with one kernel call on a dedicated executor thread (keeping
+    the event loop free for ``/metrics`` and admission while kernels
+    run). Requests that arrive while a kernel runs are coalesced into
+    the next call, so batching happens under load and a lone request on
+    an idle daemon is priced at once.
     """
 
     def __init__(self, session: ServeSession) -> None:
@@ -1100,8 +1118,6 @@ class MicroBatcher:
             if head is None:
                 break
             batch = [head]
-            if self._config.tick_seconds > 0:
-                await asyncio.sleep(self._config.tick_seconds)
             while (
                 len(batch) < self._config.max_batch
                 and not self._queue.empty()
@@ -1289,7 +1305,12 @@ class ServeDaemon:
             name, _, value = text.partition(":")
             headers[name.strip().lower()] = value.strip()
         payload: dict = {}
-        length = int(headers.get("content-length", 0) or 0)
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            return 400, "application/json", json.dumps(
+                {"error": f"malformed Content-Length {declared!r}"}
+            )
+        length = int(declared)
         if length:
             raw = await asyncio.wait_for(reader.readexactly(length), timeout=30)
             try:
@@ -1298,7 +1319,11 @@ class ServeDaemon:
                 return 400, "application/json", json.dumps(
                     {"error": "request body is not valid JSON"}
                 )
-        if isinstance(payload, Mapping) and "tenant" not in payload:
+            if not isinstance(payload, Mapping):
+                return 400, "application/json", json.dumps(
+                    {"error": "request body must be a JSON object"}
+                )
+        if "tenant" not in payload:
             tenant = headers.get("x-tenant")
             if tenant:
                 payload = {**payload, "tenant": tenant}
@@ -1318,9 +1343,7 @@ class ServeDaemon:
         trace_header: str | None = None,
     ) -> tuple[int, str, str]:
         endpoint = path.lstrip("/").split("/", 1)[0] or "root"
-        tenant = "anonymous"
-        if isinstance(payload, Mapping):
-            tenant = str(payload.get("tenant") or "anonymous")
+        tenant = str(payload.get("tenant") or "anonymous")
         traced = method == "POST" and endpoint in self._TRACED_ENDPOINTS
         started = time.perf_counter()
         try:

@@ -6,6 +6,9 @@ The contracts under test:
   call are bit-identical to the same queries issued serially, and the
   served values agree with the scalar :func:`estimate_query` path to the
   repo's 1e-9 numerical-equivalence policy.
+- **Work conservation**: with the kernel held on an event, a lone
+  request goes out at once in a 1-row call, and the requests queued
+  behind it share the next call (split at ``max_batch``).
 - **Admission control**: over-budget tenants get HTTP 429 plus a
   ``serve.rejected`` run-ledger event; everyone else is unaffected.
 - **Concurrency**: a 10-client soak leaves no queued requests, no
@@ -23,6 +26,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -41,6 +45,7 @@ from repro.system.executor import shutdown_pool
 from repro.system.observe import ledger as run_ledger
 from repro.system.serve import (
     AdmissionError,
+    MicroBatcher,
     QueryRequest,
     RequestError,
     ServeConfig,
@@ -64,7 +69,6 @@ def run_with_daemon(coro_factory, **config_overrides):
         "port": 0,
         "datasets": ("ua-detrac",),
         "frames": FRAMES,
-        "tick_seconds": 0.002,
     }
     settings.update(config_overrides)
 
@@ -152,6 +156,23 @@ class TestQueryRequest:
     def test_choose_requires_budget(self):
         with pytest.raises(RequestError):
             QueryRequest.from_payload("choose", {}, self.CONFIG)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [-1, 1.5, float("nan"), True, "3", [3]],
+        ids=["negative", "fractional", "nan", "bool", "string", "list"],
+    )
+    def test_bad_seed_rejected_at_the_boundary(self, seed):
+        # The seed is the only per-row field outside batch_key, so a bad
+        # one must never reach a kernel call shared with other tenants.
+        with pytest.raises(RequestError, match="seed"):
+            QueryRequest.from_payload("bound", {"seed": seed}, self.CONFIG)
+
+    def test_integral_float_seed_accepted(self):
+        request = QueryRequest.from_payload(
+            "bound", {"seed": 3.0}, self.CONFIG
+        )
+        assert request.seed == 3 and isinstance(request.seed, int)
 
 
 class TestTokenBucket:
@@ -266,6 +287,160 @@ class TestSessionBatching:
             session.shutdown()
 
 
+def _estimate_requests(config: ServeConfig, seeds) -> list[QueryRequest]:
+    return [
+        QueryRequest.from_payload(
+            "estimate",
+            {"dataset": "ua-detrac", "fraction": 0.25, "seed": seed},
+            config,
+        )
+        for seed in seeds
+    ]
+
+
+class _HeldKernel:
+    """Wraps ``session.estimate_group`` so its first call blocks until
+    :attr:`release` is set, recording the size of every call."""
+
+    def __init__(self, session: ServeSession) -> None:
+        self.original = session.estimate_group
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.sizes: list[int] = []
+        session.estimate_group = self
+
+    def __call__(self, requests, contexts=None):
+        self.sizes.append(len(requests))
+        if len(self.sizes) == 1:
+            self.entered.set()
+            self.release.wait(timeout=60)
+        return self.original(requests, contexts)
+
+
+class TestWorkConservingBatcher:
+    """Coalescing shown by construction: the kernel is held on an event,
+    so which requests share a call does not depend on timing."""
+
+    MAX_BATCH = 4
+
+    @pytest.fixture
+    def session(self):
+        config = ServeConfig(
+            datasets=("ua-detrac",), frames=FRAMES, max_batch=self.MAX_BATCH
+        )
+        session = ServeSession(config)
+        session.warmup()
+        yield session
+        session.shutdown()
+
+    @staticmethod
+    async def _until(predicate) -> None:
+        while not predicate():
+            await asyncio.sleep(0.001)
+
+    def _serve(self, session, count, scenario) -> _HeldKernel:
+        """Run ``scenario(batcher, submit, kernel)`` over a fresh batcher
+        and check every answer against the same request served alone."""
+        kernel = _HeldKernel(session)
+        requests = _estimate_requests(session.config, range(count))
+
+        async def wrapped():
+            batcher = MicroBatcher(session)
+            batcher.start()
+
+            def submit(index: int) -> asyncio.Future:
+                return asyncio.ensure_future(batcher.submit(requests[index]))
+
+            try:
+                futures = await scenario(batcher, submit, kernel)
+            finally:
+                kernel.release.set()
+            answers = await asyncio.gather(*futures)
+            await batcher.drain()
+            assert batcher.depth == 0
+            return answers
+
+        answers = asyncio.run(wrapped())
+        assert len(answers) == count
+        for request, answer in zip(requests, answers):
+            alone = kernel.original([request])[0]
+            assert answer["value"] == alone["value"]
+            assert answer["error_bound"] == alone["error_bound"]
+            assert answer["n"] == alone["n"]
+        return kernel
+
+    def test_lone_request_priced_at_once_then_backlog_coalesced(
+        self, session
+    ):
+        k = self.MAX_BATCH
+
+        async def scenario(batcher, submit, kernel):
+            first = submit(0)
+            # Ten loop turns and no wall-clock time pass before the
+            # companions are queued: a batcher that waited for companions
+            # would take them into this first call.
+            for _ in range(10):
+                await asyncio.sleep(0)
+            rest = [submit(i) for i in range(1, 1 + k)]
+            await asyncio.to_thread(kernel.entered.wait, 60)
+            await self._until(lambda: batcher.depth == 1 + k)
+            assert kernel.sizes == [1]
+            return [first, *rest]
+
+        kernel = self._serve(session, 1 + k, scenario)
+        assert kernel.sizes == [1, k]
+
+    def test_backlog_split_at_max_batch(self, session):
+        backlog = self.MAX_BATCH + 2
+
+        async def scenario(batcher, submit, kernel):
+            first = submit(0)
+            await asyncio.to_thread(kernel.entered.wait, 60)
+            rest = [submit(i) for i in range(1, 1 + backlog)]
+            await self._until(lambda: batcher.depth == 1 + backlog)
+            return [first, *rest]
+
+        kernel = self._serve(session, 1 + backlog, scenario)
+        assert kernel.sizes == [1, self.MAX_BATCH, 2]
+
+    def test_drain_serves_requests_behind_the_sentinel(self, session):
+        k = self.MAX_BATCH
+
+        async def scenario(batcher, submit, kernel):
+            first = submit(0)
+            await asyncio.to_thread(kernel.entered.wait, 60)
+            ahead = [submit(i) for i in range(1, 1 + k)]
+            await self._until(lambda: batcher.depth == 1 + k)
+            draining = asyncio.ensure_future(batcher.drain())
+            await self._until(lambda: not batcher._accepting)
+            behind = [submit(i) for i in range(1 + k, 3 + k)]
+            await self._until(lambda: batcher.depth == 3 + k)
+            kernel.release.set()
+            await draining
+            return [first, *ahead, *behind]
+
+        kernel = self._serve(session, 3 + k, scenario)
+        assert kernel.sizes == [1, k, 2]
+
+
+async def _raw_post(port: int, path: str, length: str, body: bytes):
+    """POST with a caller-chosen ``Content-Length`` header value."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(
+            f"POST {path} HTTP/1.1\r\nContent-Length: {length}\r\n"
+            f"Connection: close\r\n\r\n".encode("ascii")
+            + body
+        )
+        await writer.drain()
+        status = int((await reader.readline()).split()[1])
+        while (await reader.readline()).strip():
+            pass
+        return status, json.loads(await reader.read())
+    finally:
+        writer.close()
+
+
 class TestDaemonHTTP:
     def test_concurrent_answers_bit_identical_to_serial(self):
         async def scenario(daemon, port):
@@ -301,6 +476,62 @@ class TestDaemonHTTP:
             # the 8 the serial pass paid.
             assert concurrent_calls < 8
             assert daemon.session.stats["batched_kernel_calls"] >= 1
+            return True
+
+        assert run_with_daemon(scenario)
+
+    def test_bad_seed_fails_alone_beside_good_requests(self):
+        async def scenario(daemon, port):
+            payload = {"dataset": "ua-detrac", "fraction": 0.25}
+            serial = {}
+            for seed in (3, 4):
+                status, body = await post_json(
+                    "127.0.0.1", port, "/estimate", {**payload, "seed": seed}
+                )
+                assert status == 200, body
+                serial[seed] = body
+            results = await asyncio.gather(
+                *(
+                    post_json(
+                        "127.0.0.1", port, "/estimate",
+                        {**payload, "seed": seed},
+                    )
+                    for seed in (3, -1, 4, 1.5)
+                )
+            )
+            (s3, b3), (s_neg, b_neg), (s4, b4), (s_frac, b_frac) = results
+            assert s_neg == 400 and "seed" in b_neg["error"], b_neg
+            assert s_frac == 400 and "seed" in b_frac["error"], b_frac
+            for seed, status, body in ((3, s3, b3), (4, s4, b4)):
+                assert status == 200, body
+                assert body["value"] == serial[seed]["value"]
+                assert body["error_bound"] == serial[seed]["error_bound"]
+            assert daemon.session.stats["errors"] == 0
+            return True
+
+        assert run_with_daemon(scenario)
+
+    def test_non_object_stream_body_is_400(self):
+        async def scenario(daemon, port):
+            status, body = await post_json(
+                "127.0.0.1", port, "/stream", [1, 2]
+            )
+            assert status == 400, body
+            assert body["error"] == "request body must be a JSON object"
+            return True
+
+        assert run_with_daemon(scenario)
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5"])
+    def test_malformed_content_length_is_400(self, length):
+        async def scenario(daemon, port):
+            status, body = await _raw_post(port, "/bound", length, b"{}")
+            assert status == 400, body
+            assert "Content-Length" in body["error"]
+            status, body = await post_json(
+                "127.0.0.1", port, "/bound", {"dataset": "ua-detrac"}
+            )
+            assert status == 200, body
             return True
 
         assert run_with_daemon(scenario)
@@ -692,6 +923,7 @@ class TestHotStreams:
             {"delta": "x"},
             {"profiled_bound": "wide"},
             {"aggregate": "median-ish"},
+            {"seed": 1.5},
         ],
     )
     def test_open_rejects_bad_knobs(self, session, knobs):

@@ -346,7 +346,6 @@ class TestServeTraceContinuity:
                     port=0,
                     datasets=("ua-detrac",),
                     frames=FRAMES,
-                    tick_seconds=0.002,
                 )
             )
             port = await daemon.start()

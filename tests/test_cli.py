@@ -375,7 +375,6 @@ class TestServeParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8177
         assert args.datasets == "ua-detrac"
-        assert args.tick_ms == 5.0
         assert args.max_batch == 64
         assert args.max_queue == 256
         assert args.tenant_rate == 50.0
@@ -385,14 +384,13 @@ class TestServeParser:
     def test_serve_accepts_tuning_flags(self):
         args = build_parser().parse_args([
             "serve", "--port", "0", "--datasets", "ua-detrac,night-street",
-            "--frames", "2000", "--workers", "auto", "--tick-ms", "2",
+            "--frames", "2000", "--workers", "auto",
             "--max-batch", "16", "--tenant-rate", "5", "--tenant-burst", "3",
             "--cache-dir", "/tmp/cache", "--run-ledger", "runs.jsonl",
         ])
         assert args.port == 0
         assert args.datasets == "ua-detrac,night-street"
         assert args.workers == "auto"
-        assert args.tick_ms == 2.0
         assert args.tenant_burst == 3
 
     def test_call_defaults_and_endpoints(self):
