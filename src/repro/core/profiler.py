@@ -20,7 +20,8 @@ Every entry point is seeded: trial ``t`` of setting ``u`` draws from
 result is a pure function of the root seed -- independent of evaluation
 order and therefore of the worker count when a
 :class:`~repro.system.executor.ParallelExecutor` fans settings out over
-processes.
+processes. :func:`~repro.system.executor.child_rngs` builds a unit's
+trial generators together, hashing their seed words in one numpy pass.
 
 A sweep computes every fraction grid point from ONE gather of the trials'
 maximal prefix samples: because prefix samples are nested,
@@ -74,7 +75,7 @@ from repro.system.executor import (
     PlanUnit,
     RootSeed,
     SweepUnit,
-    child_rng,
+    child_rngs,
     merge_ledger_counts,
     normalize_root,
     run_plan_unit,
@@ -242,8 +243,7 @@ class DegradationProfiler:
         plan_is_random = self._plan_is_random(query, plan)
         with telemetry.span("profiler.plan", unit=unit_index, trials=self._trials):
             samples = []
-            for t in range(self._trials):
-                rng = child_rng(root, unit_index, t)
+            for rng in child_rngs(root, unit_index, range(self._trials)):
                 sample = plan.draw(query.dataset, rng, self._processor.suite)
                 self._record_sampled(
                     query, sample.resolution, sample.quality, sample.size
@@ -336,10 +336,8 @@ class DegradationProfiler:
             max_size = max(sizes)
             # Each trial draws only the prefix the sweep can consume.
             samplers = [
-                ProgressiveSampler(
-                    eligible.size, child_rng(root, unit_index, t), max_size=max_size
-                )
-                for t in trial_indices
+                ProgressiveSampler(eligible.size, rng, max_size=max_size)
+                for rng in child_rngs(root, unit_index, trial_indices)
             ]
             with telemetry.span(
                 "profiler.gather", eligible=int(eligible.size), max_size=max_size

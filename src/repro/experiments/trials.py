@@ -37,7 +37,7 @@ from repro.stats.prefix_moments import PrefixMoments
 from repro.system.executor import (
     ParallelExecutor,
     RootSeed,
-    child_rng,
+    child_rngs,
     normalize_root,
     trial_chunks,
 )
@@ -93,10 +93,10 @@ def run_method_trials_chunk(
     """
     processor, query = chunk.processor, chunk.query
     executions = [
-        processor.execute(
-            query, chunk.plan, child_rng(chunk.root, chunk.setting_index, t)
+        processor.execute(query, chunk.plan, rng)
+        for rng in child_rngs(
+            chunk.root, chunk.setting_index, chunk.trial_indices
         )
-        for t in chunk.trial_indices
     ]
     matrix = np.stack([execution.values for execution in executions])
     moments = PrefixMoments(matrix)
@@ -300,15 +300,12 @@ def run_repair_trials_chunk(
     chunk: RepairTrialsChunk,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Execute one chunk of seeded repair trials (worker entry point)."""
-    rngs = [
-        child_rng(chunk.root, chunk.setting_index, t) for t in chunk.trial_indices
-    ]
     return _repair_trial_arrays(
         chunk.processor,
         chunk.query,
         chunk.plan,
         chunk.correction_values,
-        rngs,
+        child_rngs(chunk.root, chunk.setting_index, chunk.trial_indices),
     )
 
 

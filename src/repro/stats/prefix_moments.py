@@ -7,9 +7,12 @@ fraction. The loop implementation re-derives the mean, variance, and range
 of each prefix from scratch, costing O(trials × fractions × n) overall.
 
 :class:`PrefixMoments` stacks each trial's maximal prefix gather into one
-``(trials, max_size)`` matrix, computes cumulative sums, sums of squares,
-and running extrema **once** (O(trials × n)), and then serves the mean /
-variance / range of *every* prefix length as O(trials) slices. Combined
+``(trials, max_size)`` matrix and computes its cumulative sums **once**
+(O(trials × n)); the mean of *every* prefix length is then an O(trials)
+slice. The shifted cumulative sums of values and squares that variances
+need are built once too, but only when an estimator first asks for a
+variance, and a prefix's range is an exact min/max reduction over its
+columns, so an estimator pays only for the moments it reads. Combined
 with the batch radius functions of :mod:`repro.stats.inequalities`, a whole
 fraction grid point is priced by a handful of broadcasted numpy operations.
 
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 
@@ -47,25 +51,29 @@ from repro.errors import ConfigurationError, EstimationError
 
 
 class PrefixMoments:
-    """Cumulative first/second moments and running extrema per trial row.
+    """Cumulative first/second moments and prefix extrema per trial row.
 
     One instance covers one ``(trials, max_size)`` matrix of prefix-sample
-    values. Six aligned ``(trials, size)`` arrays are computed once — the
-    raw value matrix, the raw cumulative sum, the *shifted* cumulative sum
-    and sum of squares (values centered on each row's first element, held
-    in ``_shift``), and the running extrema — and every query method takes
-    a prefix length ``n`` and returns a ``(trials,)`` array in O(trials),
-    a slice at column ``n - 1``.
+    values. Construction validates the matrix and computes its raw
+    cumulative sum, which every estimator reads through :meth:`mean`. The
+    *shifted* cumulative sum and sum of squares (values centered on each
+    row's first element, held in ``_shift``) are built on the first
+    variance-type call and kept. Every query method takes a prefix length
+    ``n`` and returns a ``(trials,)`` array: the moments are a slice at
+    column ``n - 1``, and the extrema are ``min``/``max`` reductions over
+    the first ``n`` columns, which are exact and so equal the running
+    extrema bit for bit.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
-        """Precompute the cumulative statistics.
+        """Validate the matrix and compute its cumulative sums.
 
         Args:
             matrix: Per-trial prefix values, shape ``(trials, max_size)``;
                 row ``t`` holds trial ``t``'s maximal prefix gather, whose
                 leading ``n`` entries are exactly the trial's sample at
-                prefix length ``n``.
+                prefix length ``n``. A float matrix is kept by reference
+                and read lazily, so it must not be mutated afterwards.
         """
         array = np.asarray(matrix, dtype=float)
         if array.ndim != 2:
@@ -81,12 +89,13 @@ class PrefixMoments:
             raise EstimationError("prefix matrix contains non-finite values")
         self._matrix = array
         self._shift = array[:, 0].copy()
-        shifted = array - self._shift[:, None]
         self._cumsum = np.cumsum(array, axis=1)
-        self._scumsum = np.cumsum(shifted, axis=1)
-        self._scumsq = np.cumsum(shifted * shifted, axis=1)
-        self._cummin = np.minimum.accumulate(array, axis=1)
-        self._cummax = np.maximum.accumulate(array, axis=1)
+
+    @cached_property
+    def _shifted_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative sums of the shifted values and of their squares."""
+        shifted = self._matrix - self._shift[:, None]
+        return np.cumsum(shifted, axis=1), np.cumsum(shifted * shifted, axis=1)
 
     @property
     def trials(self) -> int:
@@ -125,7 +134,7 @@ class PrefixMoments:
         ``E[x²] = E[(x−c)²] + 2c·E[x] − c²`` with ``c`` the row shift.
         """
         n = self._check_size(n)
-        shifted = self._scumsq[:, n - 1] / n
+        shifted = self._shifted_sums[1][:, n - 1] / n
         mean = self._cumsum[:, n - 1] / n
         return shifted + self._shift * (2.0 * mean - self._shift)
 
@@ -146,9 +155,10 @@ class PrefixMoments:
             raise ConfigurationError(
                 f"ddof {ddof} must satisfy 0 <= ddof < n={n}"
             )
-        shifted_mean = self._scumsum[:, n - 1] / n
+        scumsum, scumsq = self._shifted_sums
+        shifted_mean = scumsum[:, n - 1] / n
         variance = np.maximum(
-            self._scumsq[:, n - 1] / n - shifted_mean * shifted_mean, 0.0
+            scumsq[:, n - 1] / n - shifted_mean * shifted_mean, 0.0
         )
         if ddof:
             variance = variance * (n / (n - ddof))
@@ -172,23 +182,23 @@ class PrefixMoments:
         """Population variances of every prefix length ``1..n``."""
         n = self._check_size(n)
         t = np.arange(1, n + 1, dtype=float)
-        shifted_mean = self._scumsum[:, :n] / t
-        return np.maximum(self._scumsq[:, :n] / t - shifted_mean**2, 0.0)
+        scumsum, scumsq = self._shifted_sums
+        shifted_mean = scumsum[:, :n] / t
+        return np.maximum(scumsq[:, :n] / t - shifted_mean**2, 0.0)
 
     def minimum(self, n: int) -> np.ndarray:
         """Per-trial minima of the length-``n`` prefixes."""
         n = self._check_size(n)
-        return self._cummin[:, n - 1]
+        return self._matrix[:, :n].min(axis=1)
 
     def maximum(self, n: int) -> np.ndarray:
         """Per-trial maxima of the length-``n`` prefixes."""
         n = self._check_size(n)
-        return self._cummax[:, n - 1]
+        return self._matrix[:, :n].max(axis=1)
 
     def value_range(self, n: int) -> np.ndarray:
         """Per-trial sample ranges ``max - min`` of the prefixes."""
-        n = self._check_size(n)
-        return self._cummax[:, n - 1] - self._cummin[:, n - 1]
+        return self.maximum(n) - self.minimum(n)
 
 
 class SlidingWindowMoments:

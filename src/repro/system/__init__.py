@@ -65,6 +65,7 @@ _EXPORTS = {
     "RetryPolicy": "resilience",
     "TransmissionModel": "network",
     "child_rng": "executor",
+    "child_rngs": "executor",
     "child_seed": "executor",
     "merge_snapshots": "telemetry",
     "normalize_root": "executor",

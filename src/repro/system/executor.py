@@ -53,9 +53,10 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.core.correction import CorrectionSet
 from repro.detection import diskcache
@@ -114,6 +115,118 @@ def child_seed(root: RootSeed, *key: int) -> np.random.SeedSequence:
 def child_rng(root: RootSeed, *key: int) -> np.random.Generator:
     """A generator over :func:`child_seed`'s stream."""
     return np.random.default_rng(child_seed(root, *key))
+
+
+# numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``): a pool of
+# four 32-bit words, the ``hashmix`` multiplier run and the ``mix`` step.
+# The helpers take Python ints or uint32 arrays alike.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's little-endian 32-bit words of one entropy int."""
+    value = int(value)
+    if value < 0:
+        raise ConfigurationError(f"seed entropy must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_keys(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """The running hash constant: one ``(xor, multiplier)`` pair per call."""
+    while True:
+        following = init * mult & _MASK32
+        yield init, following
+        init = following
+
+
+def _hashmix(value, keys: Iterator[tuple[int, int]]):
+    xor, mult = next(keys)
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+    return result ^ (result >> 16)
+
+
+def child_seed_words(
+    root: RootSeed, unit: int, trials: Sequence[int]
+) -> np.ndarray:
+    """PCG64 seed words of every ``(root, unit, t)`` stream, in one pass.
+
+    Row ``i`` equals ``child_seed(root, unit, trials[i]).generate_state(4,
+    np.uint64)``. The root's words (zero-padded to the pool size) and the
+    unit's words are shared by every trial, so they hash as Python ints;
+    the trial words come last and hash as one uint32 column.
+
+    Args:
+        root: Root entropy.
+        unit: The unit's index (first spawn-key coordinate).
+        trials: Trial indices in ``[0, 2**32)``, any order.
+
+    Returns:
+        A C-contiguous ``(len(trials), 4)`` uint64 array.
+    """
+    trial_words = [int(t) for t in trials]
+    if not all(0 <= t <= _MASK32 for t in trial_words):
+        raise ConfigurationError(
+            f"trial indices must lie in [0, 2**32), got {trial_words}"
+        )
+    entropy: list = [w for e in normalize_root(root) for w in _uint32_words(e)]
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    entropy += _uint32_words(unit)
+    entropy.append(np.array(trial_words, dtype=np.uint32))
+
+    keys = _hash_keys(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, keys) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], keys))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, keys))
+
+    keys = _hash_keys(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[i % _POOL_SIZE], keys) for i in range(2 * _POOL_SIZE)]
+    low = np.stack(state[0::2], axis=1).astype(np.uint64)
+    high = np.stack(state[1::2], axis=1).astype(np.uint64)
+    return low | (high << np.uint64(32))
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 seed words that :func:`child_seed_words` computed."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != self._words.size or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed seed words serve PCG64 only")
+        return self._words
+
+
+def child_rngs(
+    root: RootSeed, unit: int, trials: Sequence[int]
+) -> list[np.random.Generator]:
+    """``[child_rng(root, unit, t) for t in trials]``, hashed in one pass.
+
+    Each generator is bit-identical to its :func:`child_rng` twin: numpy
+    still seeds PCG64, and only the SeedSequence hash is vectorized.
+    """
+    return [
+        np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        for words in child_seed_words(root, unit, trials)
+    ]
 
 
 def trial_chunks(trials: int, chunk_count: int) -> list[range]:

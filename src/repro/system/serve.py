@@ -152,25 +152,25 @@ def _knob(payload: Mapping, name: str, default, kind):
         ) from None
 
 
-def _seed(payload: Mapping, default: int) -> int:
-    """The request's ``seed``: a non-negative integer, or ``default``.
+def _non_negative_int(payload: Mapping, name: str, default):
+    """``payload[name]`` as a non-negative integer, or ``default``.
 
-    An integral float (``3.0``) is accepted; ``1.5``, a negative number,
-    a bool or a string is refused here, at the boundary, rather than
-    truncated or left to fail inside a kernel call shared with other
-    tenants' requests.
+    Only a missing or null field takes the default. An integral float
+    (``3.0``) is accepted; ``2.9``, a negative number, a bool or a string
+    is refused here, at the boundary, rather than truncated or left to
+    fail inside a kernel call shared with other tenants' requests.
 
     Raises:
-        RequestError: The seed is not a non-negative integer.
+        RequestError: The field is not a non-negative integer.
     """
-    value = payload.get("seed")
+    value = payload.get(name)
     if value is None:
         return default
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise RequestError(
-            f"seed must be a non-negative integer, got {value!r}"
+            f"{name} must be a non-negative integer, got {value!r}"
         )
     return value
 
@@ -322,19 +322,18 @@ class QueryRequest:
         try:
             fraction = payload.get("fraction")
             fraction = None if fraction is None else float(fraction)
-            resolution = payload.get("resolution")
-            resolution = None if resolution is None else int(resolution)
             delta = float(payload.get("delta", config.delta))
-            trials = int(payload.get("trials", 1))
             fraction_step = float(payload.get("fraction_step", 0.25))
-            resolution_count = int(payload.get("resolution_count", 3))
             max_error = payload.get("max_error")
             max_error = None if max_error is None else float(max_error)
             max_fraction = payload.get("max_fraction")
             max_fraction = None if max_fraction is None else float(max_fraction)
         except (TypeError, ValueError) as error:
             raise RequestError(f"malformed numeric field: {error}")
-        seed = _seed(payload, 0)
+        seed = _non_negative_int(payload, "seed", 0)
+        resolution = _non_negative_int(payload, "resolution", None)
+        trials = _non_negative_int(payload, "trials", 1)
+        resolution_count = _non_negative_int(payload, "resolution_count", 3)
         if fraction is not None and not 0.0 < fraction <= 1.0:
             raise RequestError(f"fraction must lie in (0, 1], got {fraction}")
         if not 0.0 < delta < 1.0:
@@ -814,10 +813,10 @@ class ServeSession:
         if not 0.0 < delta < 1.0:
             raise RequestError(f"delta must lie in (0, 1), got {delta}")
         tenant = str(payload.get("tenant") or "anonymous")
-        seed = _seed(payload, 7)
-        window = _knob(payload, "window", 480, int)
-        min_count = _knob(payload, "min_count", 30, int)
-        patience = _knob(payload, "patience", 2, int)
+        seed = _non_negative_int(payload, "seed", 7)
+        window = _non_negative_int(payload, "window", 480)
+        min_count = _non_negative_int(payload, "min_count", 30)
+        patience = _non_negative_int(payload, "patience", 2)
         profiled = _knob(payload, "profiled_bound", None, float)
         values = np.asarray(
             self._processor.frame_values(
@@ -1190,6 +1189,14 @@ class MicroBatcher:
 class ServeDaemon:
     """The asyncio HTTP front end over a session and its batcher."""
 
+    #: Largest ``Content-Length`` read: a ``/stream`` chunk of
+    #: ``_MAX_STREAM_VALUES`` floats at up to 32 bytes each (the longest
+    #: float repr is 24 characters, plus a separator), and 64 KiB for the
+    #: rest of the JSON object.
+    _MAX_BODY_BYTES = ServeSession._MAX_STREAM_VALUES * 32 + 65_536
+    #: Seconds a client may take to send one header line or its body.
+    _READ_TIMEOUT_S = 30.0
+
     def __init__(self, config: ServeConfig | None = None) -> None:
         self._config = config or ServeConfig()
         self.session = ServeSession(self._config)
@@ -1267,6 +1274,11 @@ class ServeDaemon:
         except (asyncio.IncompleteReadError, ConnectionError):
             writer.close()
             return
+        except asyncio.TimeoutError:
+            status, content_type, body = 408, "application/json", json.dumps(
+                {"error": f"request headers did not arrive within "
+                          f"{self._READ_TIMEOUT_S:g} s"}
+            )
         except Exception as error:  # pragma: no cover - defensive
             tracing.dump_flight_record("unhandled_error", error=str(error))
             status, content_type, body = 500, "application/json", json.dumps(
@@ -1291,14 +1303,15 @@ class ServeDaemon:
     async def _handle_one(
         self, reader: asyncio.StreamReader
     ) -> tuple[int, str, str]:
-        request_line = await asyncio.wait_for(reader.readline(), timeout=30)
+        timeout = self._READ_TIMEOUT_S
+        request_line = await asyncio.wait_for(reader.readline(), timeout)
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             return 400, "application/json", json.dumps({"error": "bad request"})
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
         while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=30)
+            line = await asyncio.wait_for(reader.readline(), timeout)
             text = line.decode("latin-1").strip()
             if not text:
                 break
@@ -1311,8 +1324,27 @@ class ServeDaemon:
                 {"error": f"malformed Content-Length {declared!r}"}
             )
         length = int(declared)
+        if length > self._MAX_BODY_BYTES:
+            return 413, "application/json", json.dumps(
+                {"error": f"Content-Length {length} exceeds the "
+                          f"{self._MAX_BODY_BYTES}-byte request body limit"}
+            )
         if length:
-            raw = await asyncio.wait_for(reader.readexactly(length), timeout=30)
+            try:
+                raw = await asyncio.wait_for(
+                    reader.readexactly(length), timeout
+                )
+            except asyncio.IncompleteReadError as error:
+                return 400, "application/json", json.dumps(
+                    {"error": f"request body is {len(error.partial)} bytes, "
+                              f"short of its Content-Length {length}"}
+                )
+            except asyncio.TimeoutError:
+                return 400, "application/json", json.dumps(
+                    {"error": f"request body is short of its Content-Length "
+                              f"{length}: no more bytes came within "
+                              f"{timeout:g} s"}
+                )
             try:
                 payload = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
@@ -1468,6 +1500,8 @@ _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    408: "Request Timeout",
+    413: "Content Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
 }

@@ -209,3 +209,62 @@ def install(monkeypatch) -> None:
     monkeypatch.setattr(
         trials_module, "run_repair_trials_chunk", repair_trials_chunk
     )
+
+
+class EagerPrefixMoments:
+    """Reference :class:`~repro.stats.prefix_moments.PrefixMoments`.
+
+    Builds all six ``(trials, max_size)`` arrays up front — the values,
+    the raw cumulative sum, the shifted cumulative sum and sum of squares,
+    and the running extrema — and answers every query with a column
+    slice. The product builds the shifted sums on first use and reduces
+    the extrema per call; both must agree with this byte for byte.
+    """
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        array = np.asarray(matrix, dtype=float)
+        self._shift = array[:, 0].copy()
+        shifted = array - self._shift[:, None]
+        self._cumsum = np.cumsum(array, axis=1)
+        self._scumsum = np.cumsum(shifted, axis=1)
+        self._scumsq = np.cumsum(shifted * shifted, axis=1)
+        self._cummin = np.minimum.accumulate(array, axis=1)
+        self._cummax = np.maximum.accumulate(array, axis=1)
+
+    def mean(self, n):
+        return self._cumsum[:, n - 1] / n
+
+    def second_moment(self, n):
+        shifted = self._scumsq[:, n - 1] / n
+        mean = self._cumsum[:, n - 1] / n
+        return shifted + self._shift * (2.0 * mean - self._shift)
+
+    def variance(self, n, ddof=0):
+        shifted_mean = self._scumsum[:, n - 1] / n
+        variance = np.maximum(
+            self._scumsq[:, n - 1] / n - shifted_mean * shifted_mean, 0.0
+        )
+        if ddof:
+            variance = variance * (n / (n - ddof))
+        return variance
+
+    def std(self, n, ddof=0):
+        return np.sqrt(self.variance(n, ddof))
+
+    def prefix_mean_matrix(self, n):
+        t = np.arange(1, n + 1, dtype=float)
+        return self._cumsum[:, :n] / t
+
+    def prefix_variance_matrix(self, n):
+        t = np.arange(1, n + 1, dtype=float)
+        shifted_mean = self._scumsum[:, :n] / t
+        return np.maximum(self._scumsq[:, :n] / t - shifted_mean**2, 0.0)
+
+    def minimum(self, n):
+        return self._cummin[:, n - 1]
+
+    def maximum(self, n):
+        return self._cummax[:, n - 1]
+
+    def value_range(self, n):
+        return self._cummax[:, n - 1] - self._cummin[:, n - 1]

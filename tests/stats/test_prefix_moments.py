@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import ConfigurationError, EstimationError
 from repro.stats.prefix_moments import PrefixMoments
+from tests.scalar_oracle import EagerPrefixMoments
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -112,3 +113,60 @@ class TestSizeValidation:
     def test_rejects_ddof_at_least_n(self, moments):
         with pytest.raises(ConfigurationError):
             moments.variance(1, ddof=1)
+
+
+def _oracle_matrices():
+    rng = np.random.default_rng(11)
+    signed = rng.normal(0.0, 5.0, size=(7, 60))
+    signed[:, ::9] = 0.0
+    signed[::2, 4::9] = -0.0
+    return {
+        "signed": signed,
+        "offset": 1e8 + rng.normal(0.0, 1e-3, size=(5, 40)),
+        "counts": rng.poisson(3.0, size=(6, 50)).astype(float),
+        "single-column": rng.normal(size=(4, 1)),
+        "single-row": rng.gamma(2.0, 3.0, size=(1, 33)),
+    }
+
+
+ORACLE_MATRICES = _oracle_matrices()
+
+
+def assert_bytes_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestMatchesEagerOracle:
+    """The lazily built moments equal the eager construction bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
+    def test_every_statistic_at_every_length(self, name):
+        matrix = ORACLE_MATRICES[name]
+        eager = EagerPrefixMoments(matrix)
+        # Extrema first: they must not depend on the shifted sums.
+        lazy = PrefixMoments(matrix)
+        for n in range(1, matrix.shape[1] + 1):
+            for method in ("minimum", "maximum", "value_range", "mean",
+                           "second_moment", "prefix_mean_matrix",
+                           "prefix_variance_matrix"):
+                assert_bytes_equal(
+                    getattr(lazy, method)(n), getattr(eager, method)(n)
+                )
+            for ddof in (0, 1):
+                if n > ddof:
+                    assert_bytes_equal(
+                        lazy.variance(n, ddof), eager.variance(n, ddof)
+                    )
+                    assert_bytes_equal(lazy.std(n, ddof), eager.std(n, ddof))
+
+    @pytest.mark.parametrize(
+        "first", ["variance", "std", "second_moment", "prefix_variance_matrix"]
+    )
+    def test_first_variance_call_order_is_invisible(self, first):
+        matrix = ORACLE_MATRICES["offset"]
+        eager = EagerPrefixMoments(matrix)
+        lazy = PrefixMoments(matrix)
+        n = matrix.shape[1]
+        assert_bytes_equal(getattr(lazy, first)(n), getattr(eager, first)(n))
+        assert_bytes_equal(lazy.variance(7, 1), eager.variance(7, 1))

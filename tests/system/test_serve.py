@@ -43,6 +43,7 @@ from repro.query.query import AggregateQuery
 from repro.system import shm, telemetry
 from repro.system.executor import shutdown_pool
 from repro.system.observe import ledger as run_ledger
+from repro.system.observe import tracing
 from repro.system.serve import (
     AdmissionError,
     MicroBatcher,
@@ -173,6 +174,25 @@ class TestQueryRequest:
             "bound", {"seed": 3.0}, self.CONFIG
         )
         assert request.seed == 3 and isinstance(request.seed, int)
+
+    @pytest.mark.parametrize("field", ["trials", "resolution", "resolution_count"])
+    @pytest.mark.parametrize(
+        "value",
+        [2.9, 416.7, -1, True, "3", [3]],
+        ids=["fraction", "fraction-large", "negative", "bool", "string", "list"],
+    )
+    def test_integer_fields_refuse_non_integers(self, field, value):
+        # int() would truncate 2.9 to 2 and answer a different request.
+        with pytest.raises(RequestError, match=field):
+            QueryRequest.from_payload("profile", {field: value}, self.CONFIG)
+
+    @pytest.mark.parametrize("field", ["trials", "resolution", "resolution_count"])
+    def test_integer_fields_accept_integral_floats(self, field):
+        request = QueryRequest.from_payload(
+            "profile", {field: 4.0}, self.CONFIG
+        )
+        value = getattr(request, field)
+        assert value == 4 and isinstance(value, int)
 
 
 class TestTokenBucket:
@@ -423,8 +443,13 @@ class TestWorkConservingBatcher:
         assert kernel.sizes == [1, k, 2]
 
 
-async def _raw_post(port: int, path: str, length: str, body: bytes):
-    """POST with a caller-chosen ``Content-Length`` header value."""
+async def _raw_post(
+    port: int, path: str, length: str, body: bytes, eof: bool = False
+):
+    """POST with a caller-chosen ``Content-Length`` header value.
+
+    ``eof`` half-closes the connection after the body is sent.
+    """
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
         writer.write(
@@ -433,6 +458,8 @@ async def _raw_post(port: int, path: str, length: str, body: bytes):
             + body
         )
         await writer.drain()
+        if eof:
+            writer.write_eof()
         status = int((await reader.readline()).split()[1])
         while (await reader.readline()).strip():
             pass
@@ -532,6 +559,77 @@ class TestDaemonHTTP:
                 "127.0.0.1", port, "/bound", {"dataset": "ua-detrac"}
             )
             assert status == 200, body
+            return True
+
+        assert run_with_daemon(scenario)
+
+    @pytest.mark.parametrize("ending", ["closed", "stalled"])
+    def test_short_body_is_400_without_a_dump(self, ending, monkeypatch):
+        dumps = []
+        monkeypatch.setattr(
+            tracing, "dump_flight_record", lambda *a, **k: dumps.append(a)
+        )
+        monkeypatch.setattr(ServeDaemon, "_READ_TIMEOUT_S", 0.5)
+
+        async def scenario(daemon, port):
+            status, body = await _raw_post(
+                port, "/bound", "100", b'{"dataset": "ua-detrac"}',
+                eof=ending == "closed",
+            )
+            assert status == 400, body
+            assert "short of its Content-Length 100" in body["error"]
+            if ending == "closed":
+                assert body["error"].startswith("request body is 24 bytes")
+            status, body = await post_json(
+                "127.0.0.1", port, "/bound", {"dataset": "ua-detrac"}
+            )
+            assert status == 200, body
+            return True
+
+        assert run_with_daemon(scenario)
+        assert dumps == []
+
+    def test_stalled_headers_are_408_without_a_dump(self, monkeypatch):
+        dumps = []
+        monkeypatch.setattr(
+            tracing, "dump_flight_record", lambda *a, **k: dumps.append(a)
+        )
+        monkeypatch.setattr(ServeDaemon, "_READ_TIMEOUT_S", 0.5)
+
+        async def scenario(daemon, port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(b"POST /bound HTTP/1.1\r\n")
+                await writer.drain()
+                status = int((await reader.readline()).split()[1])
+                while (await reader.readline()).strip():
+                    pass
+                body = json.loads(await reader.read())
+            finally:
+                writer.close()
+            assert status == 408, body
+            assert "headers did not arrive" in body["error"]
+            return True
+
+        assert run_with_daemon(scenario)
+        assert dumps == []
+
+    def test_oversized_content_length_is_413_before_reading(self):
+        async def scenario(daemon, port):
+            limit = ServeDaemon._MAX_BODY_BYTES
+            assert limit > 32 * daemon.session._MAX_STREAM_VALUES
+            # No body follows: the daemon must answer from the header.
+            status, body = await _raw_post(
+                port, "/stream", str(limit + 1), b"", eof=True
+            )
+            assert status == 413, body
+            assert str(limit) in body["error"]
+            # At the limit the daemon reads, and finds the body short.
+            status, body = await _raw_post(
+                port, "/bound", str(limit), b"", eof=True
+            )
+            assert status == 400, body
+            assert body["error"].startswith("request body is 0 bytes")
             return True
 
         assert run_with_daemon(scenario)
