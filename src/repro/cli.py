@@ -20,6 +20,7 @@ import glob
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -380,23 +381,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
     """Replay a corpus as a live feed through the windowed sentinel."""
     from repro.system.stream import StreamConfig, replay_stream
 
-    config = StreamConfig(
-        dataset=args.dataset,
-        frames=args.frames,
-        scenario=args.scenario,
-        severity=args.severity,
-        onset=args.onset,
-        window=args.window,
-        estimator=args.estimator,
-        decay=args.decay,
-        delta=args.delta,
-        min_count=args.min_count,
-        patience=args.patience,
-        fraction=args.fraction,
-        fps=args.fps,
-        seed=args.seed,
-    )
-    report = replay_stream(config)
+    # Every StreamConfig field is a flag of the same name.
+    report = replay_stream(StreamConfig(**{
+        knob.name: getattr(args, knob.name) for knob in fields(StreamConfig)
+    }))
     report.print()
     return 0
 

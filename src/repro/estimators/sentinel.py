@@ -56,12 +56,15 @@ class SentinelCheck:
         allowance: Largest drift consistent with the profiled bound still
             holding (profiled bound + stream bound + reference bound).
         breached: Whether the drift exceeded the allowance.
+        estimate: The stream estimate the check priced (a readout taken
+            before the next fold can reuse it).
     """
 
     count: int
     drift: float
     allowance: float
     breached: bool
+    estimate: Estimate
 
 
 @dataclass(frozen=True)
@@ -190,16 +193,6 @@ class BoundSentinel:
         self._repair: RepairedEstimate | None = None
 
     @property
-    def label(self) -> str:
-        """The monitored stream's label."""
-        return self._label
-
-    @property
-    def count(self) -> int:
-        """Stream values observed so far."""
-        return self._stream.count
-
-    @property
     def tripped(self) -> bool:
         """Whether a violation has been confirmed."""
         return self._tripped
@@ -260,6 +253,7 @@ class BoundSentinel:
             drift=drift,
             allowance=allowance,
             breached=breached,
+            estimate=estimate,
         )
         self._checks += 1
         self._last_check = check

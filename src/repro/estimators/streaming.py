@@ -78,11 +78,6 @@ class StreamingMeanEstimator:
         """Values observed so far."""
         return self._count
 
-    @property
-    def universe_size(self) -> int:
-        """The stream's finite universe size."""
-        return self._universe_size
-
     def update(self, value: float) -> None:
         """Fold one arriving model output into the state.
 
@@ -241,16 +236,6 @@ class WindowedMeanEstimator:
         """Values currently retained in the window."""
         return self._moments.count
 
-    @property
-    def window(self) -> int:
-        """The window capacity."""
-        return self._moments.capacity
-
-    @property
-    def universe_size(self) -> int:
-        """The rolling population size the radius is computed against."""
-        return self._universe_size
-
     def update(self, value: float) -> None:
         """Fold one arriving value (oldest is evicted once full)."""
         self._moments.append(value)
@@ -326,16 +311,6 @@ class DecayedMeanEstimator:
     def count(self) -> int:
         """Values ever observed."""
         return self._moments.count
-
-    @property
-    def decay(self) -> float:
-        """The per-arrival weight multiplier."""
-        return self._moments.decay
-
-    @property
-    def universe_size(self) -> int:
-        """The rolling population size the radius is computed against."""
-        return self._universe_size
 
     def effective_size(self) -> float:
         """Kish effective sample size of the current decayed state."""

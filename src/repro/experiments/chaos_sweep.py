@@ -30,7 +30,6 @@ import numpy as np
 from repro.detection.zoo import mask_rcnn_like, yolo_v4_like
 from repro.errors import ConfigurationError, TransmissionError
 from repro.estimators.base import Estimate
-from repro.estimators.smokescreen import SmokescreenMeanEstimator
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.workloads import load_dataset, shared_suite
 from repro.interventions.adversarial import (
@@ -49,6 +48,7 @@ from repro.system.faults import FaultModel
 from repro.system.executor import ExecutorConfig, ParallelExecutor
 from repro.system.fleet import FleetQueryProcessor, FleetSentinel
 from repro.system.observe import ledger as run_ledger
+from repro.system.stream import price_sample
 
 DEFAULT_OUTAGE_RATES = (0.0, 0.1, 0.2, 0.3, 0.5)
 
@@ -313,26 +313,18 @@ def _arm_sentinel(
         name: float(report.estimate.error_bound)
         for name, report in clean_report.per_camera.items()
     }
-    references = {
-        camera.name: Estimate(
+    rng = np.random.default_rng(seed)
+    references, corrections = {}, {}
+    for camera in cameras:
+        counts = _model_for(camera).run(camera.dataset).counts.astype(float)
+        references[camera.name] = Estimate(
             value=truths[camera.name],
             error_bound=0.0,
             method="exact",
             n=camera.dataset.frame_count,
             universe_size=camera.dataset.frame_count,
         )
-        for camera in cameras
-    }
-    rng = np.random.default_rng(seed)
-    corrections = {}
-    for camera in cameras:
-        counts = _model_for(camera).run(camera.dataset).counts.astype(float)
-        correction_set = rng.choice(
-            counts, size=min(400, counts.size), replace=False
-        )
-        corrections[camera.name] = SmokescreenMeanEstimator().estimate(
-            correction_set, counts.size, delta
-        )
+        corrections[camera.name] = price_sample(counts, rng, delta)
     sentinel = FleetSentinel(
         references, profiled, corrections=corrections, patience=2
     )

@@ -233,11 +233,6 @@ class SlidingWindowMoments:
         self._since_rebuild = 0
 
     @property
-    def capacity(self) -> int:
-        """Maximum number of retained values."""
-        return self._capacity
-
-    @property
     def count(self) -> int:
         """Values currently in the window."""
         return len(self._values)
@@ -425,11 +420,6 @@ class DecayedMoments:
         self._shift = 0.0
         self._minimum = math.inf
         self._maximum = -math.inf
-
-    @property
-    def decay(self) -> float:
-        """The per-arrival weight multiplier."""
-        return self._decay
 
     @property
     def count(self) -> int:

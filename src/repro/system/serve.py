@@ -83,11 +83,7 @@ from repro.core.smokescreen import Smokescreen
 from repro.core.tradeoff import PublicPreferences, choose_tradeoff
 from repro.detection import diskcache
 from repro.errors import ReproError
-from repro.estimators.base import Estimate
 from repro.estimators.dispatch import estimate_rows
-from repro.estimators.sentinel import BoundSentinel
-from repro.estimators.smokescreen import SmokescreenMeanEstimator
-from repro.estimators.streaming import WindowedMeanEstimator
 from repro.experiments.workloads import (
     DATASET_NAMES,
     load_dataset,
@@ -109,6 +105,7 @@ from repro.system.executor import (
 from repro.system.observe import ledger as run_ledger
 from repro.system.observe import labeled_name, prometheus_exposition
 from repro.system.observe import tracing
+from repro.system.stream import StreamSession
 from repro.video.frame import ObjectClass
 
 _LOG = telemetry.get_logger("system.serve")
@@ -782,15 +779,18 @@ class ServeSession:
 
     _MAX_STREAM_VALUES = 10_000
 
+    #: Live streams kept at once (~20 KB each at window 480). Opening one
+    #: more evicts the least-recently-ingested stream, whose id then
+    #: answers "unknown stream".
+    _MAX_STREAMS = 2048
+
     def stream_open(self, payload: Mapping) -> dict:
         """Arm a hot sentinel for a tenant's live feed (``POST /stream``).
 
-        The profiling-time state comes from the warm session: the exact
-        clean answer over the preloaded corpus is the reference, a clean
-        seeded query's bound is the profiled promise, and a seeded clean
-        sample is the Algorithm 3 correction set. The stream estimator is
-        windowed, so the tenant can keep pushing frames forever and a
-        drift dominates the answer within one window.
+        A windowed :class:`~repro.system.stream.StreamSession` armed over
+        the warm corpus's clean values, with a half-corpus sample pricing
+        the profiled bound unless the payload brings one. The window lets
+        a tenant push frames forever. Only ``avg`` is priced.
 
         Args:
             payload: JSON body — ``dataset``, ``aggregate``, ``delta``,
@@ -807,8 +807,8 @@ class ServeSession:
                 f"serving: {self._config.datasets}"
             )
         aggregate = str(payload.get("aggregate") or "avg")
-        if aggregate.upper() not in Aggregate.__members__:
-            raise RequestError(f"unknown aggregate {aggregate!r}")
+        if aggregate.lower() != "avg":
+            raise RequestError(f"/stream prices only avg, got {aggregate!r}")
         delta = _knob(payload, "delta", self._config.delta, float)
         if not 0.0 < delta < 1.0:
             raise RequestError(f"delta must lie in (0, 1), got {delta}")
@@ -820,7 +820,7 @@ class ServeSession:
         profiled = _knob(payload, "profiled_bound", None, float)
         values = np.asarray(
             self._processor.frame_values(
-                self._query_for(dataset, aggregate, delta)
+                self._query_for(dataset, "avg", delta)
             ),
             dtype=float,
         )
@@ -829,53 +829,28 @@ class ServeSession:
             raise RequestError(
                 f"window {window} must lie in [1, corpus size {total}]"
             )
-        rng = np.random.default_rng(seed)
-        reference = Estimate(
-            value=float(values.mean()),
-            error_bound=0.0,
-            method="exact",
-            n=total,
-            universe_size=total,
-        )
-        correction = SmokescreenMeanEstimator().estimate(
-            rng.choice(values, size=min(400, total), replace=False),
-            total,
-            delta,
-        )
-        if profiled is None:
-            sample = rng.choice(
-                values, size=max(2, total // 2), replace=False
-            )
-            profiled = float(
-                SmokescreenMeanEstimator()
-                .estimate(sample, total, delta)
-                .error_bound
-            )
         # The id is taken only once the sentinel accepts the profiled
         # bound, so a rejected open never burns one.
         stream_id = f"s{self._stream_counter + 1:04d}"
-        estimator = WindowedMeanEstimator(total, window, delta)
-        sentinel = BoundSentinel(
-            reference,
-            profiled,
-            total,
+        feed = StreamSession.arm(
+            values,
+            np.random.default_rng(seed),
+            max(2, total // 2),
             delta=delta,
+            profiled_bound=profiled,
+            window=window,
             min_count=min_count,
             patience=patience,
-            correction=correction,
             label=f"{tenant}:{dataset}:{stream_id}",
-            stream=estimator,
         )
         self._stream_counter += 1
+        while len(self._streams) >= self._MAX_STREAMS:
+            del self._streams[next(iter(self._streams))]
         self._streams[stream_id] = {
-            "sentinel": sentinel,
-            "estimator": estimator,
+            "feed": feed,
             "tenant": tenant,
             "dataset": dataset,
-            "aggregate": aggregate,
             "window": window,
-            "profiled_bound": profiled,
-            "created": time.monotonic(),
             "ingests": 0,
         }
         self.stats["stream_opens"] += 1
@@ -914,17 +889,19 @@ class ServeSession:
             raise RequestError("values must be an array of numbers")
         if not np.isfinite(batch).all():
             raise RequestError("values must be finite")
-        sentinel: BoundSentinel = state["sentinel"]
-        tripped_before = sentinel.tripped
-        check = sentinel.extend(batch)
+        feed: StreamSession = state["feed"]
+        tripped_before = feed.sentinel.tripped
+        check = feed.ingest(batch)
         state["ingests"] += 1
+        # Most recently ingested last: eviction takes the front.
+        self._streams[stream_id] = self._streams.pop(stream_id)
         telemetry.count("serve.stream_frames", len(batch))
         if check is not None and check.breached:
             self.stats["stream_violations"] += 1
         self.tenant_record(state["tenant"])["served"] += 1
         body = self.stream_readout(stream_id)
         body["ingested"] = len(batch)
-        body["newly_tripped"] = sentinel.tripped and not tripped_before
+        body["newly_tripped"] = feed.sentinel.tripped and not tripped_before
         if check is not None:
             body["check"] = {
                 "drift": check.drift,
@@ -945,27 +922,25 @@ class ServeSession:
     def stream_readout(self, stream_id: str) -> dict:
         """The readout body for ``GET /stream/<id>``."""
         state = self._stream_state(stream_id)
-        sentinel: BoundSentinel = state["sentinel"]
-        estimator: WindowedMeanEstimator = state["estimator"]
+        feed: StreamSession = state["feed"]
+        readout = feed.readout()
         body = {
             "id": stream_id,
             "dataset": state["dataset"],
-            "aggregate": state["aggregate"],
+            "aggregate": "avg",
             "tenant": state["tenant"],
             "window": state["window"],
-            "profiled_bound": state["profiled_bound"],
+            "profiled_bound": feed.profiled_bound,
             "ingests": state["ingests"],
-            "count": estimator.count,
-            "window_count": estimator.window_count,
-            "verdict": sentinel.verdict().as_payload(),
+            "count": readout.count,
+            "window_count": feed.stream.window_count,
+            "verdict": readout.verdict.as_payload(),
         }
-        if estimator.count:
-            estimate = estimator.estimate()
-            body["value"] = float(estimate.value)
-            body["error_bound"] = float(estimate.error_bound)
-        repair = sentinel.repair
-        if repair is not None:
-            body["repaired_bound"] = float(repair.error_bound)
+        if readout.value is not None:
+            body["value"] = readout.value
+            body["error_bound"] = readout.error_bound
+        if readout.verdict.repair is not None:
+            body["repaired_bound"] = float(readout.verdict.repair.error_bound)
         return body
 
     # ------------------------------------------------------------------

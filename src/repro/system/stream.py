@@ -3,20 +3,20 @@
 The paper computes profiles offline over a fixed corpus; a deployment
 ingests frames continuously, and the profiled bound silently loses
 validity when stream quality drifts out of the profiled regime (the AQuA
-failure mode). :func:`replay_stream` closes the loop end to end on
-simulated video:
+failure mode). A :class:`StreamSession` is one live feed: a
+:class:`~repro.estimators.sentinel.BoundSentinel` armed with the
+profiling-time state (exact clean reference, a clean sample's bound as
+the profiled promise, a correction set for Algorithm 3 repair) over a
+windowed / decayed / cumulative estimator from
+:mod:`repro.estimators.streaming`. The daemon's ``/stream`` keeps one per
+stream id; :func:`replay_stream` drives one end to end on simulated video:
 
 1. Replay a dataset as a timed feed in without-replacement random order
    (the sampling model the Hoeffding–Serfling bound assumes). Optionally,
-   a scenario from the PR-6 zoo (:data:`SCENARIOS`) takes over at a
+   a scenario from the zoo (``chaos_sweep.SCENARIOS``) takes over at a
    chosen onset fraction — the feed starts in the profiled regime and
    drifts out of it mid-stream.
-2. Run the feed window by window through a
-   :class:`~repro.estimators.sentinel.BoundSentinel` armed with the
-   profiling-time state (exact clean reference, a clean seeded query's
-   bound as the profiled promise, and a correction-set estimate for
-   Algorithm 3 repair) over a windowed / decayed / cumulative stream
-   estimator from :mod:`repro.estimators.streaming`.
+2. Run the feed window by window through the session.
 3. Emit per-window ledger events (``stream.window``) and aggregate
    ``facts.stream.*`` — windows, frames/sec, violations, repairs — so the
    run ledger's perf gate (``repro runs check --min-stream-fps``) covers
@@ -39,20 +39,30 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.estimators.base import Estimate
-from repro.estimators.sentinel import BoundSentinel, SentinelVerdict
+from repro.estimators.sentinel import (
+    BoundSentinel,
+    SentinelCheck,
+    SentinelVerdict,
+)
 from repro.estimators.smokescreen import SmokescreenMeanEstimator
 from repro.estimators.streaming import (
     DecayedMeanEstimator,
     StreamingMeanEstimator,
     WindowedMeanEstimator,
 )
-from repro.experiments.chaos_sweep import SCENARIOS
 from repro.experiments.workloads import load_dataset, model_for
 from repro.system import telemetry
 from repro.system.observe import ledger as run_ledger
 from repro.system.observe import tracing
 
 ESTIMATOR_KINDS = ("windowed", "decayed", "cumulative")
+
+
+def _scenarios() -> dict:
+    """The scenario zoo, imported late: serve must not load chaos_sweep."""
+    from repro.experiments.chaos_sweep import SCENARIOS
+
+    return SCENARIOS
 
 
 @dataclass(frozen=True)
@@ -98,10 +108,10 @@ class StreamConfig:
                 f"estimator must be one of {ESTIMATOR_KINDS}, "
                 f"got {self.estimator!r}"
             )
-        if self.scenario is not None and self.scenario not in SCENARIOS:
+        if self.scenario is not None and self.scenario not in _scenarios():
             raise ConfigurationError(
                 f"unknown scenario {self.scenario!r}; "
-                f"valid: {tuple(SCENARIOS)}"
+                f"valid: {tuple(_scenarios())}"
             )
         if not 0.0 <= self.onset < 1.0:
             raise ConfigurationError(
@@ -270,13 +280,122 @@ class StreamReport:
         )
 
 
-def _build_stream_estimator(config: StreamConfig, universe: int):
-    if config.estimator == "windowed":
-        window = min(config.window, universe)
-        return WindowedMeanEstimator(universe, window, config.delta)
-    if config.estimator == "decayed":
-        return DecayedMeanEstimator(universe, config.decay, config.delta)
-    return StreamingMeanEstimator(universe, config.delta)
+def price_sample(
+    clean: np.ndarray,
+    rng: np.random.Generator,
+    delta: float,
+    size: int | None = None,
+) -> Estimate:
+    """Draw (one ``rng.choice``, without replacement) and price a clean
+    sample. The default size is the Algorithm 3 correction set's: 400, or
+    all of a smaller population. A random intervention, so its bound
+    survives any later drift of the degraded stream."""
+    total = clean.size
+    size = min(400, total) if size is None else size
+    return SmokescreenMeanEstimator().estimate(
+        rng.choice(clean, size=size, replace=False), total, delta
+    )
+
+
+@dataclass(frozen=True)
+class StreamReadout:
+    """A live feed's answer: ``value``/``error_bound`` (None before any
+    value), values ever folded, and the sentinel's verdict (its
+    ``repair`` is the Algorithm 3 repair issued on a trip)."""
+
+    count: int
+    value: float | None
+    error_bound: float | None
+    verdict: SentinelVerdict
+
+
+@dataclass
+class StreamSession:
+    """One live feed: a stream estimator watched by a bound sentinel.
+
+    :meth:`arm` builds it from the clean per-frame values; :meth:`ingest`
+    folds one chunk and runs the drift check; :meth:`readout` answers from
+    the estimate that check already priced, so a chunk past warm-up costs
+    one ``estimate()`` call.
+    """
+
+    sentinel: BoundSentinel
+    stream: object
+    reference: Estimate
+    profiled_bound: float
+    _estimate: Estimate | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def arm(
+        cls,
+        clean: np.ndarray,
+        rng: np.random.Generator,
+        sample_size: int,
+        *,
+        delta: float,
+        profiled_bound: float | None = None,
+        estimator: str = "windowed",
+        window: int = 480,
+        decay: float = 0.999,
+        min_count: int = 30,
+        patience: int = 2,
+        label: str = "stream",
+    ) -> StreamSession:
+        """Arm a feed over a clean population (its size is the universe).
+
+        The exact clean mean is the reference. ``rng`` draws the
+        correction set (:func:`price_sample`), then, only when no
+        ``profiled_bound`` is given, a ``sample_size`` clean sample whose
+        bound becomes the profiled promise. ``window`` is capped at the
+        universe."""
+        total = clean.size
+        reference = Estimate(
+            value=float(clean.mean()),
+            error_bound=0.0,
+            method="exact",
+            n=total,
+            universe_size=total,
+        )
+        correction = price_sample(clean, rng, delta)
+        if profiled_bound is None:
+            profiled = price_sample(clean, rng, delta, sample_size)
+            profiled_bound = float(profiled.error_bound)
+        if estimator == "windowed":
+            stream = WindowedMeanEstimator(total, min(window, total), delta)
+        elif estimator == "decayed":
+            stream = DecayedMeanEstimator(total, decay, delta)
+        else:
+            stream = StreamingMeanEstimator(total, delta)
+        sentinel = BoundSentinel(
+            reference,
+            profiled_bound,
+            total,
+            delta=delta,
+            min_count=min_count,
+            patience=patience,
+            correction=correction,
+            label=label,
+            stream=stream,
+        )
+        return cls(sentinel, stream, reference, profiled_bound)
+
+    def ingest(self, chunk) -> SentinelCheck | None:
+        """Fold one chunk; the drift check, or None during warm-up."""
+        check = self.sentinel.extend(chunk)
+        self._estimate = check.estimate if check is not None else None
+        return check
+
+    def readout(self) -> StreamReadout:
+        """The feed's current value, bound and verdict."""
+        if self._estimate is None and self.stream.count:
+            self._estimate = self.stream.estimate()
+        estimate = self._estimate
+        return StreamReadout(
+            self.stream.count,
+            None if estimate is None else float(estimate.value),
+            None if estimate is None else float(estimate.error_bound),
+            self.sentinel.verdict(),
+        )
 
 
 def _build_feed(
@@ -291,12 +410,8 @@ def _build_feed(
     feed = clean[order]
     if config.scenario is None:
         return feed, clean, total
-    spec = SCENARIOS[config.scenario]
-    severity = (
-        config.severity if config.severity is not None
-        else spec.severities[-1]
-    )
-    hostile = spec.build(severity).attach(model).run(dataset).counts
+    spec = _scenarios()[config.scenario]
+    hostile = spec.build(config.severity).attach(model).run(dataset).counts
     hostile = hostile.astype(float)
     onset_index = int(round(config.onset * total))
     feed[onset_index:] = hostile[order[onset_index:]]
@@ -304,7 +419,7 @@ def _build_feed(
 
 
 def replay_stream(config: StreamConfig) -> StreamReport:
-    """Replay the configured feed through sentinel + stream estimator.
+    """Replay the configured feed through a :class:`StreamSession`.
 
     Args:
         config: The replay configuration.
@@ -312,54 +427,24 @@ def replay_stream(config: StreamConfig) -> StreamReport:
     Returns:
         The per-window trace, final verdict, and throughput numbers.
     """
+    if config.scenario is not None and config.severity is None:
+        config = dataclasses.replace(
+            config, severity=_scenarios()[config.scenario].severities[-1]
+        )
     rng = np.random.default_rng(config.seed)
     feed, clean, onset_index = _build_feed(config, rng)
     total = feed.size
-    universe = total
-
-    reference = Estimate(
-        value=float(clean.mean()),
-        error_bound=0.0,
-        method="exact",
-        n=total,
-        universe_size=total,
-    )
-    correction_set = rng.choice(
-        clean, size=min(400, total), replace=False
-    )
-    correction = SmokescreenMeanEstimator().estimate(
-        correction_set, total, config.delta
-    )
-    profiled_sample = rng.choice(
+    session = StreamSession.arm(
         clean,
-        size=max(2, int(round(config.fraction * total))),
-        replace=False,
-    )
-    profiled_bound = float(
-        SmokescreenMeanEstimator()
-        .estimate(profiled_sample, total, config.delta)
-        .error_bound
-    )
-
-    severity = None
-    if config.scenario is not None:
-        severity = (
-            config.severity if config.severity is not None
-            else SCENARIOS[config.scenario].severities[-1]
-        )
-        config = dataclasses.replace(config, severity=severity)
-
-    stream = _build_stream_estimator(config, universe)
-    sentinel = BoundSentinel(
-        reference,
-        profiled_bound,
-        universe,
+        rng,
+        max(2, int(round(config.fraction * total))),
         delta=config.delta,
+        estimator=config.estimator,
+        window=config.window,
+        decay=config.decay,
         min_count=config.min_count,
         patience=config.patience,
-        correction=correction,
         label=f"{config.dataset}:{config.scenario or 'clean'}",
-        stream=stream,
     )
 
     records: list[WindowRecord] = []
@@ -381,21 +466,21 @@ def replay_stream(config: StreamConfig) -> StreamReport:
                 "stream.window", index=len(records), frames=int(chunk.size)
             ):
                 tick = time.perf_counter()
-                check = sentinel.extend(chunk)
-                estimate = stream.estimate()
+                check = session.ingest(chunk)
+                readout = session.readout()
                 ingest_seconds += time.perf_counter() - tick
                 record = WindowRecord(
                     index=len(records),
                     start=start,
                     end=start + chunk.size,
-                    value=float(estimate.value),
-                    bound=float(estimate.error_bound),
+                    value=readout.value,
+                    bound=readout.error_bound,
                     drift=check.drift if check is not None else None,
                     allowance=(
                         check.allowance if check is not None else None
                     ),
                     breached=check.breached if check is not None else False,
-                    tripped=sentinel.tripped,
+                    tripped=readout.verdict.tripped,
                 )
                 records.append(record)
                 telemetry.count("stream.windows")
@@ -423,9 +508,9 @@ def replay_stream(config: StreamConfig) -> StreamReport:
         frames=total,
         onset_index=onset_index,
         windows=tuple(records),
-        verdict=sentinel.verdict(),
-        profiled_bound=profiled_bound,
-        reference_value=reference.value,
+        verdict=session.sentinel.verdict(),
+        profiled_bound=session.profiled_bound,
+        reference_value=session.reference.value,
         wall_seconds=wall_seconds,
         ingest_seconds=ingest_seconds,
         frames_per_sec=(

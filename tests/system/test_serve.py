@@ -35,6 +35,7 @@ import pytest
 
 from repro.errors import ConfigurationError, EstimationError, ReproError
 from repro.estimators.dispatch import estimate_query, estimate_rows
+from repro.estimators.streaming import WindowedMeanEstimator
 from repro.experiments.workloads import load_dataset, model_for, shared_suite
 from repro.interventions.plan import InterventionPlan
 from repro.query.aggregates import Aggregate
@@ -1022,6 +1023,12 @@ class TestHotStreams:
             {"profiled_bound": "wide"},
             {"aggregate": "median-ish"},
             {"seed": 1.5},
+            # Only avg is priced; these once came back as a windowed
+            # mean under the requested label.
+            {"aggregate": "sum"},
+            {"aggregate": "max"},
+            {"aggregate": "var"},
+            {"aggregate": "count"},
         ],
     )
     def test_open_rejects_bad_knobs(self, session, knobs):
@@ -1029,6 +1036,49 @@ class TestHotStreams:
         # (a bare ValueError) would escape as a 500.
         with pytest.raises(ReproError):
             session.stream_open(knobs)
+
+    def test_full_table_evicts_least_recently_ingested(
+        self, session, monkeypatch
+    ):
+        monkeypatch.setattr(ServeSession, "_MAX_STREAMS", 3)
+        session._streams.clear()
+        first, second, third = (
+            session.stream_open({})["id"] for _ in range(3)
+        )
+        # Ingesting into the oldest makes the second the least recent.
+        session.stream_ingest({"id": first, "values": [1.0] * 40})
+        fourth = session.stream_open({})["id"]
+        assert list(session._streams) == [third, first, fourth]
+        with pytest.raises(RequestError, match="unknown stream"):
+            session.stream_ingest({"id": second, "values": [1.0]})
+        with pytest.raises(RequestError, match="unknown stream"):
+            session.stream_readout(second)
+        # A stream that keeps ingesting outlives any number of opens.
+        for _ in range(5):
+            session.stream_ingest({"id": first, "values": [1.0] * 40})
+            session.stream_open({})
+        assert first in session._streams
+        assert len(session._streams) == 3
+        assert session.stream_readout(first)["ingests"] == 6
+
+    def test_one_estimate_per_chunk_past_warm_up(self, session, monkeypatch):
+        calls = []
+        original = WindowedMeanEstimator.estimate
+
+        def counted(self):
+            calls.append(self.count)
+            return original(self)
+
+        monkeypatch.setattr(WindowedMeanEstimator, "estimate", counted)
+        stream_id = session.stream_open({"min_count": 30})["id"]
+        assert calls == []  # an empty stream has nothing to price
+        session.stream_ingest({"id": stream_id, "values": [2.0] * 10})
+        assert calls == [10]  # warm-up: no check, the readout prices it
+        for chunk in range(3):
+            session.stream_ingest({"id": stream_id, "values": [2.0] * 50})
+        assert calls == [10, 60, 110, 160]
+        session.stream_readout(stream_id)  # reuses the last check's
+        assert calls == [10, 60, 110, 160]
 
     def test_rejected_open_burns_no_stream_id(self, session):
         before = session.stream_open({})["id"]

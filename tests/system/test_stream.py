@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.estimators.streaming import WindowedMeanEstimator
 from repro.system.observe import ledger as run_ledger
 from repro.system.stream import (
     ESTIMATOR_KINDS,
@@ -163,3 +164,24 @@ class TestPacedReplay:
         assert report.wall_seconds >= 0.018
         assert report.ingest_seconds < report.wall_seconds
         assert report.frames_per_sec > 100_000.0
+
+
+class TestOneEstimatePerChunk:
+    """A readout reuses the estimate the chunk's drift check priced."""
+
+    def test_replay_prices_each_window_once(self, monkeypatch):
+        calls = []
+        original = WindowedMeanEstimator.estimate
+
+        def counted(self):
+            calls.append(self.count)
+            return original(self)
+
+        monkeypatch.setattr(WindowedMeanEstimator, "estimate", counted)
+        report = replay_stream(
+            StreamConfig(frames=FRAMES, window=400, min_count=30)
+        )
+        # Every window is past the 30-frame warm-up: one call each.
+        assert len(report.windows) == 5
+        assert calls == [window.end for window in report.windows]
+

@@ -47,6 +47,14 @@ def test_cold_start_paths_load_no_scipy(module):
     assert not {name for name in loaded if name.split(".")[0] == "scipy"}
 
 
+def test_serve_does_not_load_the_chaos_sweep():
+    # Serve arms its feeds through repro.system.stream, which reaches the
+    # scenario zoo only when a replay asks for a scenario.
+    loaded = loaded_after("repro.system.serve")
+    assert "repro.system.stream" in loaded
+    assert "repro.experiments.chaos_sweep" not in loaded
+
+
 def test_diskcache_does_not_load_the_fleet_layer():
     loaded = loaded_after("repro.detection.diskcache")
     assert "repro.system.telemetry" in loaded
