@@ -23,16 +23,19 @@ order and therefore of the worker count when a
 processes. :func:`~repro.system.executor.child_rngs` builds a unit's
 trial generators together, hashing their seed words in one numpy pass.
 
-A sweep computes every fraction grid point from ONE gather of the trials'
-maximal prefix samples: because prefix samples are nested,
-``full[eligible[perm[:n]]]`` equals ``(full[eligible[perm]])[:n]``. The
-gathers stack into one ``(trials, max_size)``
-:class:`~repro.stats.prefix_moments.PrefixMoments` matrix, and the batch
-estimator kernels price every fraction from its cumulative sums, so a
-setting costs O(trials x n) of numpy work instead of O(trials x fractions
-x n) of Python-level estimator calls. A single plan's trials share their
-sample size and eligible universe, so they stack the same way. A scalar
-oracle in the test suite re-draws every trial and prices each
+A sweep prices its whole fraction grid in one pass. Because prefix
+samples are nested, ``full[eligible[perm[:n]]]`` equals
+``(full[eligible][perm])[:n]``: each trial's ordering (a view, not a
+copy) gathers once through ``full[eligible]`` into its row of one
+``(trials, max_size)``
+:class:`~repro.stats.prefix_moments.PrefixMoments` matrix. One
+:func:`~repro.estimators.dispatch.estimate_batch` call then prices every
+fraction as a ``(fractions, trials)`` grid from the cumulative sums and
+the running extrema, so a setting costs O(trials x n) of numpy work
+instead of O(trials x fractions x n) of Python-level estimator calls. A
+single plan's trials share their sample size and eligible universe, so
+they stack the same way and price as the one-row grid. A scalar oracle
+in the test suite re-draws every trial and prices each
 ``(fraction, trial)`` slice with the public estimators; the kernels agree
 with it within 1e-9, with identical ledger totals and early-stop
 decisions.
@@ -96,33 +99,26 @@ class PointEstimate:
 
 
 @dataclass(frozen=True)
-class SweptFraction:
-    """Per-trial results at one fraction of a sweep (pre-averaging).
+class SweptGrid:
+    """Per-trial results over a sweep's kept fractions (pre-averaging).
 
     Keeping per-trial arrays (instead of running sums) lets callers that
     split trials across work units concatenate chunks in trial order and
-    reduce over the full array — the reduction then never depends on where
-    the chunk boundaries fell.
+    reduce over the full rows — the reduction then never depends on where
+    the chunk boundaries fell. Rows are C-contiguous, so ``mean(axis=1)``
+    sums each row exactly as a 1-d ``row.mean()`` does.
 
     Attributes:
-        fraction: The sampling fraction.
-        values: Per-trial estimate values, in trial order.
-        bounds: Per-trial error bounds, in trial order.
-        size: Sample size ``n`` at this fraction.
+        sizes: Sample size ``n`` at each kept fraction; early stopping
+            keeps a leading run of the unit's ascending fractions.
+        values: Per-trial estimate values, shape ``(len(sizes), trials)``,
+            columns in trial order.
+        bounds: Per-trial error bounds, same shape.
     """
 
-    fraction: float
+    sizes: tuple[int, ...]
     values: np.ndarray
     bounds: np.ndarray
-    size: int
-
-    def point(self) -> PointEstimate:
-        """The trial-averaged point estimate."""
-        return PointEstimate(
-            value=float(self.values.mean()),
-            error_bound=float(self.bounds.mean()),
-            n=self.size,
-        )
 
 
 class DegradationProfiler:
@@ -196,24 +192,26 @@ class DegradationProfiler:
     def _estimate_prefix_batch(
         query: AggregateQuery,
         moments: PrefixMoments,
-        size: int,
+        sizes: tuple[int, ...],
         universe_size: int,
         plan_is_random: bool,
         correction: CorrectionSet | None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Price the length-``size`` prefix of every trial row at once.
+        """Price every trial row at each of the ascending ``sizes`` at once.
 
         Returns:
-            Per-trial ``(values, bounds)`` arrays, aligned with the rows.
+            ``(len(sizes), trials)`` C-contiguous ``(values, bounds)``
+            arrays, columns aligned with the rows.
         """
         batch = dispatch.estimate_batch(
-            query, moments, size, universe_size, query.dataset.frame_count
+            query, moments, sizes, universe_size, query.dataset.frame_count
         )
-        if correction is None:
-            return batch.values, batch.error_bounds
-        return batch.values, dispatch.corrected_bounds(
-            query, batch, correction.values, plan_is_random
-        )
+        bounds = batch.error_bounds
+        if correction is not None:
+            bounds = dispatch.corrected_bounds(
+                query, batch, correction.values, plan_is_random
+            )
+        return np.ascontiguousarray(batch.values), np.ascontiguousarray(bounds)
 
     def estimate_plan_seeded(
         self,
@@ -260,11 +258,13 @@ class DegradationProfiler:
             )
             n = matrix.shape[1]
             values, bounds = self._estimate_prefix_batch(
-                query, PrefixMoments(matrix), n, samples[0].universe_size,
+                query, PrefixMoments(matrix), (n,), samples[0].universe_size,
                 plan_is_random, correction,
             )
         return PointEstimate(
-            value=float(values.mean()), error_bound=float(bounds.mean()), n=int(n)
+            value=float(values[0].mean()),
+            error_bound=float(bounds[0].mean()),
+            n=int(n),
         )
 
     def sweep_fractions_seeded(
@@ -278,20 +278,22 @@ class DegradationProfiler:
         unit_index: int,
         trial_indices: tuple[int, ...],
         early_stop_tolerance: float | None = None,
-    ) -> list[SweptFraction]:
+    ) -> SweptGrid:
         """One (resolution, removal) fraction sweep with seeded trials.
 
         Trial ``t`` permutes the eligible universe with ``child_rng(root,
         unit_index, t)``; results are independent of which process runs
         the sweep and which other trials it shares the unit with.
 
-        The maximal prefix sample's values are gathered once for all
-        trials; every fraction's values are a prefix of that matrix
-        (prefix samples are nested), so one
-        :class:`~repro.stats.prefix_moments.PrefixMoments` pass prices the
-        whole ascending grid as O(trials) slices. Ledger updates are
-        batched per fraction: all trials share the size trajectory, so
-        ``new_frames × trials`` is recorded in one call.
+        The unit is priced in one pass. Each trial's ordering gathers
+        once through ``full_values[eligible]`` into its row of the maximal
+        prefix matrix; every fraction's values are a prefix of it (prefix
+        samples are nested), so one
+        :class:`~repro.stats.prefix_moments.PrefixMoments` and one
+        ``estimate_batch`` call price the whole ascending grid. Early
+        stopping then truncates the priced grid, and the ledger records
+        the kept fractions' frames in one call: all trials share the size
+        trajectory, so it is the last kept size times the trial count.
 
         Args:
             query: The query to profile.
@@ -308,17 +310,18 @@ class DegradationProfiler:
                 merging, on the all-trials mean).
 
         Returns:
-            Per-fraction per-trial results, in ``trial_indices`` order;
-            fractions skipped by early stopping are absent.
+            Per-fraction per-trial results, columns in ``trial_indices``
+            order; fractions skipped by early stopping are absent.
         """
         fractions = tuple(fractions)
         if any(low >= high for low, high in zip(fractions, fractions[1:])):
             raise ConfigurationError(
                 f"fractions must be strictly ascending for reuse, got {fractions}"
             )
-        if not fractions:
-            return []
         trials = len(trial_indices)
+        if not fractions:
+            empty = np.empty((0, trials))
+            return SweptGrid(sizes=(), values=empty, bounds=empty)
         with telemetry.span(
             "profiler.sweep",
             resolution=resolution.side if resolution is not None else "native",
@@ -332,26 +335,26 @@ class DegradationProfiler:
             )
             effective_resolution = base_plan.effective_resolution(query.dataset)
             quality = base_plan.quality
-            sizes = [SampleDesign(eligible.size, f).size for f in fractions]
+            sizes = tuple(SampleDesign(eligible.size, f).size for f in fractions)
             max_size = max(sizes)
             # Each trial draws only the prefix the sweep can consume.
-            samplers = [
-                ProgressiveSampler(eligible.size, rng, max_size=max_size)
+            orderings = [
+                ProgressiveSampler(eligible.size, rng, max_size).ordering
                 for rng in child_rngs(root, unit_index, trial_indices)
             ]
             with telemetry.span(
                 "profiler.gather", eligible=int(eligible.size), max_size=max_size
             ):
-                full_values = self._processor.frame_values(
+                eligible_values = self._processor.frame_values(
                     query, effective_resolution, quality
-                )
-                # One (trials, max_size) fancy index instead of a gather
-                # per trial; row t is exactly
-                # full_values[eligible[samplers[t].prefix(max_size)]].
-                prefix_matrix = np.stack(
-                    [sampler.prefix(max_size) for sampler in samplers]
-                )
-                value_matrix = full_values[eligible[prefix_matrix]]
+                )[eligible]
+                # Row t is exactly full_values[eligible[orderings[t]]]. A
+                # gather per row into one matrix skips stacking the
+                # orderings and runs several times faster than one 2-d
+                # fancy index.
+                value_matrix = np.empty((trials, max_size), eligible_values.dtype)
+                for row, ordering in zip(value_matrix, orderings):
+                    np.take(eligible_values, ordering, out=row)
             # The fraction knob never changes the randomness classification
             # (frame sampling is always the random intervention), so
             # classify the setting once.
@@ -364,40 +367,29 @@ class DegradationProfiler:
             with telemetry.span(
                 "profiler.price", trials=trials, fractions=len(fractions)
             ):
-                moments = PrefixMoments(value_matrix)
-                processed = 0
-                results: list[SweptFraction] = []
-                previous_bound: float | None = None
-                for fraction, size in zip(fractions, sizes):
-                    # Ascending fractions give non-decreasing sizes, so
-                    # each fraction charges only the frames it adds.
-                    self._record_sampled(
-                        query, effective_resolution, quality,
-                        (size - processed) * trials,
-                    )
-                    processed = size
-                    values, bounds = self._estimate_prefix_batch(
-                        query, moments, size, int(eligible.size),
-                        plan_is_random, correction,
-                    )
-                    swept = SweptFraction(
-                        fraction=fraction,
-                        values=np.asarray(values, dtype=float),
-                        bounds=np.asarray(bounds, dtype=float),
-                        size=size,
-                    )
-                    results.append(swept)
-                    telemetry.count("profiler.trials_priced", trials)
-                    mean_bound = float(swept.bounds.mean())
-                    if (
-                        early_stop_tolerance is not None
-                        and previous_bound is not None
-                        and abs(previous_bound - mean_bound) < early_stop_tolerance
+                values, bounds = self._estimate_prefix_batch(
+                    query, PrefixMoments(value_matrix), sizes,
+                    int(eligible.size), plan_is_random, correction,
+                )
+            kept = len(sizes)
+            if early_stop_tolerance is not None:
+                mean_bounds = bounds.mean(axis=1).tolist()
+                for index in range(1, kept):
+                    if abs(mean_bounds[index - 1] - mean_bounds[index]) < (
+                        early_stop_tolerance
                     ):
                         telemetry.count("profiler.early_stop")
+                        kept = index + 1
                         break
-                    previous_bound = mean_bound
-                return results
+            # Ascending fractions give non-decreasing sizes, so the kept
+            # fractions charge the frames of the last one's prefix.
+            self._record_sampled(
+                query, effective_resolution, quality, sizes[kept - 1] * trials
+            )
+            telemetry.count("profiler.trials_priced", kept * trials)
+            return SweptGrid(
+                sizes=sizes[:kept], values=values[:kept], bounds=bounds[:kept]
+            )
 
     # ------------------------------------------------------------------
     # Seeded, parallelizable profile generation.
@@ -468,26 +460,25 @@ class DegradationProfiler:
             outcomes = executor.map(run_sweep_unit, units)
         for _, counts in outcomes:
             merge_ledger_counts(self._ledger, counts)
-        swept_chunks = [swept for swept, _ in outcomes]
+        # Trial chunks in trial order: row f holds fraction f's trials.
+        grids = [swept for swept, _ in outcomes]
+        values = np.concatenate([grid.values for grid in grids], axis=1)
+        bounds = np.concatenate([grid.bounds for grid in grids], axis=1)
+        mean_values = values.mean(axis=1).tolist()
+        mean_bounds = bounds.mean(axis=1).tolist()
 
         points: list[ProfilePoint] = []
         previous_bound: float | None = None
         for idx, fraction in enumerate(fractions):
-            per_trial_values = np.concatenate(
-                [chunk[idx].values for chunk in swept_chunks]
-            )
-            per_trial_bounds = np.concatenate(
-                [chunk[idx].bounds for chunk in swept_chunks]
-            )
-            bound = float(per_trial_bounds.mean())
+            bound = mean_bounds[idx]
             points.append(
                 ProfilePoint(
                     plan=InterventionPlan.from_knobs(
                         f=fraction, p=resolution, c=tuple(removal)
                     ),
                     error_bound=bound,
-                    value=float(per_trial_values.mean()),
-                    n=swept_chunks[0][idx].size,
+                    value=mean_values[idx],
+                    n=grids[0].sizes[idx],
                 )
             )
             if (
@@ -663,15 +654,13 @@ class DegradationProfiler:
         )
         bounds = np.full(shape, math.nan)
         values = np.full(shape, math.nan)
-        fraction_index = {f: i for i, f in enumerate(candidates.fractions)}
         for unit, (swept, counts) in zip(units, outcomes):
             merge_ledger_counts(self._ledger, counts)
             ci, ri = divmod(unit.unit_index, resolution_count)
-            for item in swept:
-                fi = fraction_index[item.fraction]
-                point = item.point()
-                bounds[fi, ri, ci] = point.error_bound
-                values[fi, ri, ci] = point.value
+            # Early stopping keeps a leading run of the fractions.
+            kept = len(swept.sizes)
+            bounds[:kept, ri, ci] = swept.bounds.mean(axis=1)
+            values[:kept, ri, ci] = swept.values.mean(axis=1)
         return DegradationHypercube(
             fractions=candidates.fractions,
             resolutions=candidates.resolutions,

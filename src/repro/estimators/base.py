@@ -2,11 +2,13 @@
 
 Estimators come in two granularities: the scalar :meth:`MeanEstimator.
 estimate` prices one sample, while :meth:`MeanEstimator.estimate_batch`
-prices the same prefix length across *all* trials of a
+prices an ascending tuple of prefix lengths across *all* trials of a
 :class:`~repro.stats.prefix_moments.PrefixMoments` matrix at once,
-returning per-trial arrays in a :class:`BatchEstimate`. Estimators without
-a vectorized form inherit a per-trial fallback that slices each row and
-delegates to ``estimate``, so the batch API is total over the registry.
+returning ``(sizes, trials)`` grids in a :class:`BatchEstimate`. One
+length is the one-row case of the same call. Estimators without a
+vectorized form inherit a per-trial fallback that loops over the sizes,
+slices each row and delegates to ``estimate``, so the batch API is total
+over the registry.
 """
 
 from __future__ import annotations
@@ -75,26 +77,27 @@ class Estimate:
 
 @dataclass(frozen=True)
 class BatchEstimate:
-    """Per-trial estimates at one prefix length, as aligned arrays.
+    """Per-trial estimates over a grid of prefix lengths, as aligned arrays.
 
     The batch analogue of :class:`Estimate` for sweeps that price the same
-    sample size across many trials: ``values[t]`` / ``error_bounds[t]`` are
-    exactly the ``value`` / ``error_bound`` the scalar estimator would
-    produce on trial ``t``'s prefix (per-trial ``extras`` are dropped; the
-    profiler's sweeps never read them).
+    sample sizes across many trials: ``values[f, t]`` /
+    ``error_bounds[f, t]`` are exactly the ``value`` / ``error_bound`` the
+    scalar estimator would produce on trial ``t``'s prefix of length
+    ``sizes[f]`` (per-trial ``extras`` are dropped; the profiler's sweeps
+    never read them).
 
     Attributes:
-        values: Per-trial approximate answers, shape ``(trials,)``.
-        error_bounds: Per-trial relative error bounds, shape ``(trials,)``.
+        values: Per-trial approximate answers, shape ``(len(sizes), trials)``.
+        error_bounds: Per-trial relative error bounds, same shape.
         method: Estimator name, e.g. ``"smokescreen"``.
-        n: Sample size shared by every trial.
+        sizes: The priced prefix lengths, ascending, one per row.
         universe_size: Eligible-universe size the samples were drawn from.
     """
 
     values: np.ndarray
     error_bounds: np.ndarray
     method: str
-    n: int
+    sizes: tuple[int, ...]
     universe_size: int
 
     def __post_init__(self) -> None:
@@ -102,6 +105,11 @@ class BatchEstimate:
             raise EstimationError(
                 f"values shape {self.values.shape} does not match error "
                 f"bounds shape {self.error_bounds.shape}"
+            )
+        if self.values.ndim != 2 or self.values.shape[0] != len(self.sizes):
+            raise EstimationError(
+                f"values shape {self.values.shape} is not one row per size "
+                f"of {self.sizes}"
             )
         if np.any(self.error_bounds < 0):
             raise EstimationError("error bounds must be non-negative")
@@ -112,19 +120,32 @@ class BatchEstimate:
             values=self.values * factor,
             error_bounds=self.error_bounds,
             method=self.method,
-            n=self.n,
+            sizes=self.sizes,
             universe_size=self.universe_size,
         )
 
-    def trial(self, t: int) -> Estimate:
-        """Trial ``t``'s result as a scalar :class:`Estimate`."""
+    def trial(self, t: int, row: int = 0) -> Estimate:
+        """Trial ``t``'s result at ``sizes[row]`` as an :class:`Estimate`."""
         return Estimate(
-            value=float(self.values[t]),
-            error_bound=float(self.error_bounds[t]),
+            value=float(self.values[row, t]),
+            error_bound=float(self.error_bounds[row, t]),
             method=self.method,
-            n=self.n,
+            n=self.sizes[row],
             universe_size=self.universe_size,
         )
+
+
+def _batch_from_estimates(
+    method: str, sizes: np.ndarray, universe_size: int, grid: list[list[Estimate]]
+) -> BatchEstimate:
+    """A :class:`BatchEstimate` from scalar estimates, ``grid[f][t]``."""
+    return BatchEstimate(
+        values=np.array([[e.value for e in row] for row in grid]),
+        error_bounds=np.array([[e.error_bound for e in row] for row in grid]),
+        method=method,
+        sizes=tuple(sizes.tolist()),
+        universe_size=universe_size,
+    )
 
 
 def validate_sample(values: np.ndarray, universe_size: int) -> np.ndarray:
@@ -150,29 +171,41 @@ def validate_sample(values: np.ndarray, universe_size: int) -> np.ndarray:
 
 
 def validate_batch_request(
-    moments: PrefixMoments, n: int, universe_size: int
-) -> None:
+    moments: PrefixMoments, sizes: tuple[int, ...], universe_size: int
+) -> np.ndarray:
     """Common validation for batch estimation over prefix moments.
 
-    Mirrors :func:`validate_sample` for the batch API: the prefix length
+    Mirrors :func:`validate_sample` for the batch API: each prefix length
     plays the role of the sample size (finiteness was already checked by
     the :class:`~repro.stats.prefix_moments.PrefixMoments` constructor).
 
     Args:
         moments: The precomputed prefix moments.
-        n: Requested prefix length.
+        sizes: Requested prefix lengths, a non-empty ascending sequence.
         universe_size: Size of the universe the trials sampled from.
+
+    Returns:
+        The sizes as a 1-d integer array.
     """
-    if n <= 0:
+    array = np.asarray(sizes)
+    if array.ndim != 1 or array.size == 0 or array.dtype.kind not in "iu":
+        raise EstimationError(
+            f"prefix lengths must be a non-empty sequence of ints, got {sizes!r}"
+        )
+    if (array[1:] < array[:-1]).any():
+        raise EstimationError(f"prefix lengths must ascend, got {sizes!r}")
+    if array[0] <= 0:
         raise EstimationError("cannot estimate from an empty sample")
-    if n > moments.max_size:
+    if array[-1] > moments.max_size:
         raise EstimationError(
-            f"prefix length {n} exceeds gathered prefix {moments.max_size}"
+            f"prefix length {array[-1]} exceeds gathered prefix "
+            f"{moments.max_size}"
         )
-    if n > universe_size:
+    if array[-1] > universe_size:
         raise EstimationError(
-            f"sample of size {n} exceeds universe size {universe_size}"
+            f"sample of size {array[-1]} exceeds universe size {universe_size}"
         )
+    return array
 
 
 class MeanEstimator(abc.ABC):
@@ -212,45 +245,45 @@ class MeanEstimator(abc.ABC):
     def estimate_batch(
         self,
         moments: PrefixMoments,
-        n: int,
+        sizes: tuple[int, ...],
         universe_size: int,
         delta: float,
         value_range: float | None = None,
     ) -> BatchEstimate:
-        """Price the length-``n`` prefix of every trial at once.
+        """Price every trial's prefix at each of ``sizes`` at once.
 
-        The base implementation is the per-trial fallback: slice each
-        row's prefix and delegate to :meth:`estimate`, so every estimator
-        supports the batch API even without a vectorized form. Subclasses
-        with closed-form array versions override this with broadcasted
-        kernels that agree with the scalar path within the repo's 1e-9
-        numerical-equivalence policy.
+        The base implementation is the per-trial fallback: for each size,
+        slice each row's prefix and delegate to :meth:`estimate`, so every
+        estimator supports the batch API even without a vectorized form.
+        Subclasses with closed-form array versions override this with
+        broadcasted kernels over the ``(sizes, trials)`` grid, whose row
+        ``f`` equals the one-size call at ``sizes[f]`` byte for byte.
 
         Args:
             moments: Prefix moments of the ``(trials, max_size)`` matrix.
-            n: Prefix length to price (``1 <= n <= max_size``).
+            sizes: Ascending prefix lengths to price, each in
+                ``[1, max_size]``; ``(n,)`` prices one length.
             universe_size: Size of the universe the trials sampled from.
             delta: Bound failure probability.
             value_range: A-priori known population range, or None for each
                 trial's sample range.
 
         Returns:
-            Per-trial values and bounds, aligned with the matrix rows.
+            ``(len(sizes), trials)`` values and bounds, columns aligned
+            with the matrix rows.
         """
-        validate_batch_request(moments, n, universe_size)
-        estimates = [
-            self.estimate(
-                moments.row(t)[:n], universe_size, delta, value_range=value_range
-            )
-            for t in range(moments.trials)
+        sizes = validate_batch_request(moments, sizes, universe_size)
+        grid = [
+            [
+                self.estimate(
+                    moments.row(t)[:n], universe_size, delta,
+                    value_range=value_range,
+                )
+                for t in range(moments.trials)
+            ]
+            for n in sizes.tolist()
         ]
-        return BatchEstimate(
-            values=np.array([e.value for e in estimates]),
-            error_bounds=np.array([e.error_bound for e in estimates]),
-            method=self.name,
-            n=n,
-            universe_size=universe_size,
-        )
+        return _batch_from_estimates(self.name, sizes, universe_size, grid)
 
 
 def effective_range(values: np.ndarray, value_range: float | None) -> float:
@@ -274,18 +307,19 @@ def effective_range(values: np.ndarray, value_range: float | None) -> float:
 
 
 def effective_range_batch(
-    moments: PrefixMoments, n: int, value_range: float | None
+    moments: PrefixMoments, sizes, value_range: float | None
 ) -> float | np.ndarray:
     """Batch analogue of :func:`effective_range`.
 
     Args:
         moments: Prefix moments of the trial matrix.
-        n: Prefix length.
+        sizes: Prefix length(s), as :meth:`PrefixMoments.value_range`
+            takes them.
         value_range: A-priori known population range, or None.
 
     Returns:
-        The known range as a scalar (broadcasts over trials), else the
-        per-trial sample ranges of the length-``n`` prefixes.
+        The known range as a scalar (broadcasts over the grid), else the
+        per-trial sample ranges of the prefixes.
     """
     if value_range is not None:
         if value_range < 0:
@@ -293,7 +327,7 @@ def effective_range_batch(
                 f"known value range must be non-negative, got {value_range}"
             )
         return float(value_range)
-    return moments.value_range(n)
+    return moments.value_range(sizes)
 
 
 class QuantileEstimator(abc.ABC):
@@ -326,7 +360,7 @@ class QuantileEstimator(abc.ABC):
     def estimate_batch(
         self,
         moments: PrefixMoments,
-        n: int,
+        sizes: tuple[int, ...],
         universe_size: int,
         r: float,
         delta: float,
@@ -336,17 +370,16 @@ class QuantileEstimator(abc.ABC):
 
         Quantile estimation walks a distinct-value table per sample, which
         has no cheap prefix-cumulative form, so the batch entry point
-        always delegates row-by-row to :meth:`estimate`.
+        always delegates to :meth:`estimate`, size by size and row by row.
         """
-        validate_batch_request(moments, n, universe_size)
-        estimates = [
-            self.estimate(moments.row(t)[:n], universe_size, r, delta, aggregate)
-            for t in range(moments.trials)
+        sizes = validate_batch_request(moments, sizes, universe_size)
+        grid = [
+            [
+                self.estimate(
+                    moments.row(t)[:n], universe_size, r, delta, aggregate
+                )
+                for t in range(moments.trials)
+            ]
+            for n in sizes.tolist()
         ]
-        return BatchEstimate(
-            values=np.array([e.value for e in estimates]),
-            error_bounds=np.array([e.error_bound for e in estimates]),
-            method=self.name,
-            n=n,
-            universe_size=universe_size,
-        )
+        return _batch_from_estimates(self.name, sizes, universe_size, grid)

@@ -53,12 +53,25 @@ def _mean_with_ratio_bound(
     )
 
 
-def _ratio_bound_batch(means: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Vectorized radius / lower-bound relative bound (inf when swallowed)."""
+def _ratio_batch(
+    method: str,
+    sizes: np.ndarray,
+    universe_size: int,
+    means: np.ndarray,
+    radii: np.ndarray,
+) -> BatchEstimate:
+    """Sample means with the vectorized radius / lower-bound relative
+    bound (inf when the radius swallows the mean)."""
     lower = np.abs(means) - radii
     with np.errstate(divide="ignore", invalid="ignore"):
         bounds = radii / lower
-    return np.where(lower > 0, bounds, math.inf)
+    return BatchEstimate(
+        values=means,
+        error_bounds=np.where(lower > 0, bounds, math.inf),
+        method=method,
+        sizes=tuple(sizes.tolist()),
+        universe_size=universe_size,
+    )
 
 
 class HoeffdingEstimator(MeanEstimator):
@@ -84,25 +97,19 @@ class HoeffdingEstimator(MeanEstimator):
     def estimate_batch(
         self,
         moments: PrefixMoments,
-        n: int,
+        sizes: tuple[int, ...],
         universe_size: int,
         delta: float,
         value_range: float | None = None,
     ) -> BatchEstimate:
-        """Vectorized Hoeffding pricing over all trials at one prefix."""
-        validate_batch_request(moments, n, universe_size)
-        means = moments.mean(n)
-        ranges = effective_range_batch(moments, n, value_range)
+        """Vectorized Hoeffding pricing over all trials and sizes."""
+        sizes = validate_batch_request(moments, sizes, universe_size)
+        means = moments.mean(sizes)
+        ranges = effective_range_batch(moments, sizes, value_range)
         radii = np.broadcast_to(
-            hoeffding_radius_batch(n, delta, ranges), means.shape
+            hoeffding_radius_batch(sizes[:, None], delta, ranges), means.shape
         )
-        return BatchEstimate(
-            values=means,
-            error_bounds=_ratio_bound_batch(means, radii),
-            method=self.name,
-            n=n,
-            universe_size=universe_size,
-        )
+        return _ratio_batch(self.name, sizes, universe_size, means, radii)
 
 
 class HoeffdingSerflingEstimator(MeanEstimator):
@@ -130,26 +137,22 @@ class HoeffdingSerflingEstimator(MeanEstimator):
     def estimate_batch(
         self,
         moments: PrefixMoments,
-        n: int,
+        sizes: tuple[int, ...],
         universe_size: int,
         delta: float,
         value_range: float | None = None,
     ) -> BatchEstimate:
-        """Vectorized Hoeffding–Serfling pricing over all trials."""
-        validate_batch_request(moments, n, universe_size)
-        means = moments.mean(n)
-        ranges = effective_range_batch(moments, n, value_range)
+        """Vectorized Hoeffding–Serfling pricing over all trials and sizes."""
+        sizes = validate_batch_request(moments, sizes, universe_size)
+        means = moments.mean(sizes)
+        ranges = effective_range_batch(moments, sizes, value_range)
         radii = np.broadcast_to(
-            hoeffding_serfling_radius_batch(n, universe_size, delta, ranges),
+            hoeffding_serfling_radius_batch(
+                sizes[:, None], universe_size, delta, ranges
+            ),
             means.shape,
         )
-        return BatchEstimate(
-            values=means,
-            error_bounds=_ratio_bound_batch(means, radii),
-            method=self.name,
-            n=n,
-            universe_size=universe_size,
-        )
+        return _ratio_batch(self.name, sizes, universe_size, means, radii)
 
 
 class CLTEstimator(MeanEstimator):
@@ -190,28 +193,23 @@ class CLTEstimator(MeanEstimator):
     def estimate_batch(
         self,
         moments: PrefixMoments,
-        n: int,
+        sizes: tuple[int, ...],
         universe_size: int,
         delta: float,
         value_range: float | None = None,
     ) -> BatchEstimate:
-        """Vectorized CLT pricing over all trials at one prefix."""
-        validate_batch_request(moments, n, universe_size)
-        means = moments.mean(n)
-        if n < 2:
-            return BatchEstimate(
-                values=means,
-                error_bounds=np.full_like(means, math.inf),
-                method=self.name,
-                n=n,
-                universe_size=universe_size,
+        """Vectorized CLT pricing over all trials and sizes.
+
+        Rows with ``n < 2`` keep the infinite radius, hence the infinite
+        bound, of the scalar path.
+        """
+        sizes = validate_batch_request(moments, sizes, universe_size)
+        means = moments.mean(sizes)
+        radii = np.full_like(means, math.inf)
+        priced = sizes >= 2
+        if priced.any():
+            kept = sizes[priced]
+            radii[priced] = clt_radius_batch(
+                kept[:, None], delta, moments.std(kept, ddof=1)
             )
-        stds = moments.std(n, ddof=1)
-        radii = clt_radius_batch(n, delta, stds)
-        return BatchEstimate(
-            values=means,
-            error_bounds=_ratio_bound_batch(means, radii),
-            method=self.name,
-            n=n,
-            universe_size=universe_size,
-        )
+        return _ratio_batch(self.name, sizes, universe_size, means, radii)

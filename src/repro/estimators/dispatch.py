@@ -175,35 +175,37 @@ def estimate_query(
 def estimate_batch(
     query: AggregateQuery,
     moments: PrefixMoments,
-    n: int,
+    sizes: tuple[int, ...],
     universe_size: int,
     population_size: int,
     method: str = "smokescreen",
 ) -> BatchEstimate:
     """Batch analogue of :func:`estimate_values` over prefix moments.
 
-    Prices the length-``n`` prefix of every trial at once with the same
-    routing and scaling as the scalar path: mean-family methods use their
-    vectorized ``estimate_batch`` kernels, while variance and quantile
-    methods (whose estimators have no closed batch form) fall through the
-    per-trial fallback of :class:`~repro.estimators.base.MeanEstimator` /
-    :class:`~repro.estimators.base.QuantileEstimator`.
+    Prices every trial's prefix at each of the ascending ``sizes`` at once,
+    as one ``(sizes, trials)`` grid, with the same routing and scaling as
+    the scalar path: mean-family methods use their vectorized
+    ``estimate_batch`` kernels, while variance and quantile methods (whose
+    estimators have no closed batch form) fall through the per-trial
+    fallback of :class:`~repro.estimators.base.MeanEstimator` /
+    :class:`~repro.estimators.base.QuantileEstimator`. A single length is
+    the one-row call ``sizes=(n,)``.
 
     Args:
         query: The query (selects the aggregate and its parameters).
         moments: Prefix moments of the ``(trials, max_size)`` value matrix,
             gathered under this query's degradation setting.
-        n: Prefix length to price.
+        sizes: Ascending prefix lengths to price.
         universe_size: Eligible-universe size the trials sampled from.
         population_size: Total corpus length, for SUM/COUNT scaling.
         method: Estimator name, as for :func:`estimate_values`.
 
     Returns:
-        Per-trial values and bounds, SUM/COUNT answers scaled to the
-        corpus length.
+        Per-size, per-trial values and bounds, SUM/COUNT answers scaled to
+        the corpus length.
     """
     estimator, arguments = _resolve(query, method)
-    batch = estimator.estimate_batch(moments, n, universe_size, *arguments)
+    batch = estimator.estimate_batch(moments, sizes, universe_size, *arguments)
     return _scaled(query, batch, population_size)
 
 
@@ -216,10 +218,11 @@ def corrected_bounds(
     """Per-trial bounds under Algorithm 3 and the §5.2.2 policy.
 
     The correction set — a random sample of the whole corpus — is priced
-    once with the batch's method. Each trial's degraded answer is then
-    repaired with Equation (12) for AVG/SUM/COUNT/VAR or Equation (13) for
-    MAX/MIN. A plan with only random interventions keeps the tighter of
-    the basic and corrected bounds; any other plan gets the corrected one.
+    once with the batch's method, for the whole grid. Each trial's
+    degraded answer at each size is then repaired with Equation (12) for
+    AVG/SUM/COUNT/VAR or Equation (13) for MAX/MIN. A plan with only
+    random interventions keeps the tighter of the basic and corrected
+    bounds; any other plan gets the corrected one.
 
     Args:
         query: The query the batch priced.
@@ -229,7 +232,7 @@ def corrected_bounds(
             interventions only.
 
     Returns:
-        Per-trial error bounds, aligned with ``batch.values``.
+        Per-trial error bounds, shaped and aligned like ``batch.values``.
     """
     population = query.dataset.frame_count
     reference = estimate_values(
@@ -243,15 +246,15 @@ def corrected_bounds(
         corrected = np.array(
             [
                 ProfileRepair.corrected_quantile_bound(
-                    float(value),
+                    value,
                     reference.value,
                     correction_values,
                     query.effective_quantile,
                     reference,
                 )
-                for value in batch.values
+                for value in batch.values.ravel().tolist()
             ]
-        )
+        ).reshape(batch.values.shape)
     if plan_is_random:
         return np.minimum(batch.error_bounds, corrected)
     return corrected
@@ -292,11 +295,10 @@ def estimate_rows(
             f"estimate_rows needs a non-empty (rows, n) matrix, got shape "
             f"{matrix.shape}"
         )
-    moments = PrefixMoments(matrix)
     batch = estimate_batch(
         query,
-        moments,
-        matrix.shape[1],
+        PrefixMoments(matrix),
+        (matrix.shape[1],),
         universe_size,
         population_size,
         method,

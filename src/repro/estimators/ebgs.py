@@ -90,20 +90,45 @@ class EBGSEstimator(MeanEstimator):
     def estimate_batch(
         self,
         moments: PrefixMoments,
-        n: int,
+        sizes: tuple[int, ...],
         universe_size: int,
         delta: float,
         value_range: float | None = None,
     ) -> BatchEstimate:
-        """Vectorized EBGS envelope over all trials at one prefix length.
+        """Vectorized EBGS envelope over all trials, size by size.
 
-        The ``(trials, n)`` prefix mean/variance matrices come straight
-        from the shared cumulative sums; the per-prefix radii and the
-        max/min envelope reduce along the prefix axis. Row-for-row this
-        performs the same sequential cumulative arithmetic as the scalar
-        path, so the agreement is exact, not merely within tolerance.
+        For each prefix length ``n`` the ``(trials, n)`` prefix
+        mean/variance matrices come straight from the shared cumulative
+        sums; the per-prefix radii and the max/min envelope reduce along
+        the prefix axis. The range term uses each ``n``'s own sample range,
+        so the envelopes of different lengths share no running state and
+        are built one length at a time. Row-for-row this performs the same
+        sequential cumulative arithmetic as the scalar path, so the
+        agreement is exact, not merely within tolerance.
         """
-        validate_batch_request(moments, n, universe_size)
+        sizes = validate_batch_request(moments, sizes, universe_size)
+        means, uppers, lowers = zip(
+            *(
+                self._envelope(moments, n, delta, value_range)
+                for n in sizes.tolist()
+            )
+        )
+        values, bounds = bound_aware_batch_from_interval(
+            np.stack(means), np.stack(uppers), np.stack(lowers)
+        )
+        return BatchEstimate(
+            values=values,
+            error_bounds=bounds,
+            method=self.name,
+            sizes=tuple(sizes.tolist()),
+            universe_size=universe_size,
+        )
+
+    @staticmethod
+    def _envelope(
+        moments: PrefixMoments, n: int, delta: float, value_range: float | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Final means and the (upper, lower) envelope at length ``n``."""
         t = np.arange(1, n + 1, dtype=float)
         prefix_mean = moments.prefix_mean_matrix(n)
         prefix_std = np.sqrt(moments.prefix_variance_matrix(n))
@@ -124,14 +149,4 @@ class EBGSEstimator(MeanEstimator):
         midpoint = (lower + upper) / 2.0
         lower = np.where(crossed, midpoint, lower)
         upper = np.where(crossed, midpoint, upper)
-
-        values, bounds = bound_aware_batch_from_interval(
-            prefix_mean[:, -1], upper, lower
-        )
-        return BatchEstimate(
-            values=values,
-            error_bounds=bounds,
-            method=self.name,
-            n=n,
-            universe_size=universe_size,
-        )
+        return prefix_mean[:, -1], upper, lower

@@ -198,26 +198,29 @@ class SmokescreenMeanEstimator(MeanEstimator):
     def estimate_batch(
         self,
         moments: PrefixMoments,
-        n: int,
+        sizes: tuple[int, ...],
         universe_size: int,
         delta: float,
         value_range: float | None = None,
     ) -> BatchEstimate:
-        """Vectorized Algorithm 1 over all trials at one prefix length.
+        """Vectorized Algorithm 1 over all trials and every prefix length.
 
         See :meth:`repro.estimators.base.MeanEstimator.estimate_batch`;
-        the means, sample ranges, and Hoeffding–Serfling radii are all
-        O(trials) slices of the precomputed prefix moments.
+        the means and sample ranges are ``(sizes, trials)`` slices of the
+        precomputed prefix moments, and one Hoeffding–Serfling call prices
+        the whole grid with ``n`` broadcast as a column.
         """
-        validate_batch_request(moments, n, universe_size)
-        means = moments.mean(n)
-        ranges = effective_range_batch(moments, n, value_range)
-        radii = hoeffding_serfling_radius_batch(n, universe_size, delta, ranges)
+        sizes = validate_batch_request(moments, sizes, universe_size)
+        means = moments.mean(sizes)
+        ranges = effective_range_batch(moments, sizes, value_range)
+        radii = hoeffding_serfling_radius_batch(
+            sizes[:, None], universe_size, delta, ranges
+        )
         values, bounds = bound_aware_batch(means, np.broadcast_to(radii, means.shape))
         return BatchEstimate(
             values=values,
             error_bounds=bounds,
             method=self.name,
-            n=n,
+            sizes=tuple(sizes.tolist()),
             universe_size=universe_size,
         )

@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from repro.estimators.base import Estimate
 from repro.query.aggregates import aggregate_value
 from repro.query.processor import QueryProcessor
 from repro.query.query import AggregateQuery
@@ -78,29 +77,3 @@ def tightness_improvement(baseline_bound: float, our_bound: float) -> float:
     if our_bound == 0.0:
         return math.inf if baseline_bound > 0.0 else 0.0
     return (baseline_bound - our_bound) / our_bound
-
-
-def mean_finite(values: list[float]) -> float:
-    """Mean of the finite entries (baselines can produce infinities)."""
-    finite = [value for value in values if math.isfinite(value)]
-    if not finite:
-        return math.inf
-    return float(np.mean(finite))
-
-
-def summarise_trials(estimates: list[Estimate], errors: list[float]) -> dict[str, float]:
-    """Per-method trial summary: mean bound, mean true error, violations.
-
-    Args:
-        estimates: The trial estimates of one method at one setting.
-        errors: Matching true errors.
-
-    Returns:
-        ``{"bound": ..., "true_error": ..., "violation_rate": ...}``.
-    """
-    bounds = [estimate.error_bound for estimate in estimates]
-    return {
-        "bound": mean_finite(bounds),
-        "true_error": float(np.mean(errors)),
-        "violation_rate": violation_rate(np.array(bounds), np.array(errors)),
-    }

@@ -105,14 +105,14 @@ def run_method_trials_chunk(
         batch = estimate_batch(
             query,
             moments,
-            matrix.shape[1],
+            (matrix.shape[1],),
             executions[0].universe_size,
             executions[0].population_size,
             method,
         )
         per_method[method] = (
-            batch.error_bounds,
-            _true_errors(processor, query, batch.values),
+            batch.error_bounds[0],
+            _true_errors(processor, query, batch.values[0]),
         )
     return per_method
 
@@ -259,7 +259,7 @@ def _repair_trial_arrays(
     batch = estimate_batch(
         query,
         PrefixMoments(matrix),
-        matrix.shape[1],
+        (matrix.shape[1],),
         samples[0].universe_size,
         query.dataset.frame_count,
     )
@@ -267,9 +267,9 @@ def _repair_trial_arrays(
         query, batch, correction_values, plan.is_random_for(query.dataset)
     )
     return (
-        np.minimum(batch.error_bounds, BOUND_DISPLAY_CAP),
-        np.minimum(corrected, BOUND_DISPLAY_CAP),
-        _true_errors(processor, query, batch.values),
+        np.minimum(batch.error_bounds[0], BOUND_DISPLAY_CAP),
+        np.minimum(corrected[0], BOUND_DISPLAY_CAP),
+        _true_errors(processor, query, batch.values[0]),
     )
 
 

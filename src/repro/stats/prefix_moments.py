@@ -11,10 +11,14 @@ of each prefix from scratch, costing O(trials × fractions × n) overall.
 (O(trials × n)); the mean of *every* prefix length is then an O(trials)
 slice. The shifted cumulative sums of values and squares that variances
 need are built once too, but only when an estimator first asks for a
-variance, and a prefix's range is an exact min/max reduction over its
-columns, so an estimator pays only for the moments it reads. Combined
-with the batch radius functions of :mod:`repro.stats.inequalities`, a whole
-fraction grid point is priced by a handful of broadcasted numpy operations.
+variance. Prefix ranges come from **running extrema**: growing the prefix
+from ``m`` to ``n`` columns reduces only columns ``m..n-1`` and folds them
+into the kept minima and maxima, so an ascending grid reads each column
+once. An estimator pays only for the moments it reads. Every query takes
+one prefix length or an ascending tuple of them, answering the tuple as
+one ``(sizes, trials)`` grid; combined with the batch radius functions of
+:mod:`repro.stats.inequalities`, a whole fraction grid is priced by a
+handful of broadcasted numpy operations.
 
 Live feeds do not arrive as a fixed matrix, so two streaming engines keep
 the same shifted cumulants for a single feed:
@@ -58,11 +62,19 @@ class PrefixMoments:
     cumulative sum, which every estimator reads through :meth:`mean`. The
     *shifted* cumulative sum and sum of squares (values centered on each
     row's first element, held in ``_shift``) are built on the first
-    variance-type call and kept. Every query method takes a prefix length
-    ``n`` and returns a ``(trials,)`` array: the moments are a slice at
-    column ``n - 1``, and the extrema are ``min``/``max`` reductions over
-    the first ``n`` columns, which are exact and so equal the running
-    extrema bit for bit.
+    variance-type call and kept.
+
+    Every query method takes ``n``, either one prefix length or an
+    ascending sequence of them. One length returns a ``(trials,)`` array;
+    a sequence returns a C-contiguous ``(len(n), trials)`` grid whose row
+    ``f`` equals the one-length answer at ``n[f]`` byte for byte. The
+    moments are column slices at ``n - 1``. The extrema are running:
+    the instance keeps the minima and maxima of its longest prefix served
+    so far, and a longer prefix reduces only the columns it adds. A
+    shorter one is reduced directly. ``min``/``max`` are exact, so either
+    route equals a direct ``matrix[:, :n]`` reduction (up to the sign of a
+    zero extremum, which no bound reads: it can only flip the sign of a
+    zero range).
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
@@ -90,6 +102,11 @@ class PrefixMoments:
         self._matrix = array
         self._shift = array[:, 0].copy()
         self._cumsum = np.cumsum(array, axis=1)
+        # Minima and maxima of the first ``_extrema_size`` columns, set
+        # by the first extrema query.
+        self._extrema_size = 0
+        self._low: np.ndarray | None = None
+        self._high: np.ndarray | None = None
 
     @cached_property
     def _shifted_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -115,30 +132,37 @@ class PrefixMoments:
         """
         return self._matrix[trial]
 
-    def _check_size(self, n: int) -> int:
-        if not 1 <= n <= self.max_size:
+    def _check_size(self, n) -> np.ndarray:
+        """``n`` as a 0-d or 1-d integer array, every length in range."""
+        sizes = np.asarray(n)
+        if sizes.ndim > 1 or sizes.size == 0 or sizes.dtype.kind not in "iu":
+            raise ConfigurationError(
+                f"prefix length must be an int or a sequence of ints, got {n!r}"
+            )
+        if sizes.min() < 1 or sizes.max() > self.max_size:
             raise ConfigurationError(
                 f"prefix length {n} must lie in [1, {self.max_size}]"
             )
-        return int(n)
+        return sizes
 
-    def mean(self, n: int) -> np.ndarray:
+    def mean(self, n) -> np.ndarray:
         """Per-trial means of the length-``n`` prefixes."""
-        n = self._check_size(n)
-        return self._cumsum[:, n - 1] / n
+        sizes = self._check_size(n)
+        return self._cumsum.T[sizes - 1] / sizes[..., None]
 
-    def second_moment(self, n: int) -> np.ndarray:
+    def second_moment(self, n) -> np.ndarray:
         """Per-trial raw second moments ``mean(x^2)`` of the prefixes.
 
         Reconstructed from the shifted cumulants:
         ``E[x²] = E[(x−c)²] + 2c·E[x] − c²`` with ``c`` the row shift.
         """
-        n = self._check_size(n)
-        shifted = self._shifted_sums[1][:, n - 1] / n
-        mean = self._cumsum[:, n - 1] / n
+        sizes = self._check_size(n)
+        column = sizes[..., None]
+        shifted = self._shifted_sums[1].T[sizes - 1] / column
+        mean = self._cumsum.T[sizes - 1] / column
         return shifted + self._shift * (2.0 * mean - self._shift)
 
-    def variance(self, n: int, ddof: int = 0) -> np.ndarray:
+    def variance(self, n, ddof: int = 0) -> np.ndarray:
         """Per-trial prefix variances, clipped at zero.
 
         Computed from the shifted cumulants, so the clip only ever absorbs
@@ -146,25 +170,27 @@ class PrefixMoments:
         raw ``E[x²] − E[x]²`` form suffers on large-offset data.
 
         Args:
-            n: Prefix length.
+            n: Prefix length(s).
             ddof: Delta degrees of freedom (0 = population variance, as
                 ``ndarray.var`` defaults; requires ``n > ddof``).
         """
-        n = self._check_size(n)
-        if ddof < 0 or n <= ddof:
+        sizes = self._check_size(n)
+        if ddof < 0 or sizes.min() <= ddof:
             raise ConfigurationError(
                 f"ddof {ddof} must satisfy 0 <= ddof < n={n}"
             )
+        column = sizes[..., None]
         scumsum, scumsq = self._shifted_sums
-        shifted_mean = scumsum[:, n - 1] / n
+        shifted_mean = scumsum.T[sizes - 1] / column
         variance = np.maximum(
-            scumsq[:, n - 1] / n - shifted_mean * shifted_mean, 0.0
+            scumsq.T[sizes - 1] / column - shifted_mean * shifted_mean,
+            0.0,
         )
         if ddof:
-            variance = variance * (n / (n - ddof))
+            variance = variance * (column / (column - ddof))
         return variance
 
-    def std(self, n: int, ddof: int = 0) -> np.ndarray:
+    def std(self, n, ddof: int = 0) -> np.ndarray:
         """Per-trial prefix standard deviations (see :meth:`variance`)."""
         return np.sqrt(self.variance(n, ddof))
 
@@ -174,31 +200,56 @@ class PrefixMoments:
         Serves envelope constructions (EBGS) that need all prefixes
         simultaneously; column ``t-1`` equals :meth:`mean` at ``t``.
         """
-        n = self._check_size(n)
+        n = int(self._check_size(n))
         t = np.arange(1, n + 1, dtype=float)
         return self._cumsum[:, :n] / t
 
     def prefix_variance_matrix(self, n: int) -> np.ndarray:
         """Population variances of every prefix length ``1..n``."""
-        n = self._check_size(n)
+        n = int(self._check_size(n))
         t = np.arange(1, n + 1, dtype=float)
         scumsum, scumsq = self._shifted_sums
         shifted_mean = scumsum[:, :n] / t
         return np.maximum(scumsq[:, :n] / t - shifted_mean**2, 0.0)
 
-    def minimum(self, n: int) -> np.ndarray:
+    def _extrema_at(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Minima and maxima of the first ``n`` columns (may be cached)."""
+        if n < self._extrema_size:
+            head = self._matrix[:, :n]
+            return head.min(axis=1), head.max(axis=1)
+        if n > self._extrema_size:
+            added = self._matrix[:, self._extrema_size : n]
+            low, high = added.min(axis=1), added.max(axis=1)
+            if self._extrema_size:
+                np.minimum(self._low, low, out=low)
+                np.maximum(self._high, high, out=high)
+            self._low, self._high, self._extrema_size = low, high, n
+        return self._low, self._high
+
+    def _extrema(self, n) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh minima and maxima arrays, laid out like the answers."""
+        sizes = self._check_size(n)
+        if sizes.ndim == 0:
+            low, high = self._extrema_at(int(sizes))
+            return low.copy(), high.copy()
+        low = np.empty((sizes.size, self.trials))
+        high = np.empty_like(low)
+        for row, size in enumerate(sizes.tolist()):
+            low[row], high[row] = self._extrema_at(size)
+        return low, high
+
+    def minimum(self, n) -> np.ndarray:
         """Per-trial minima of the length-``n`` prefixes."""
-        n = self._check_size(n)
-        return self._matrix[:, :n].min(axis=1)
+        return self._extrema(n)[0]
 
-    def maximum(self, n: int) -> np.ndarray:
+    def maximum(self, n) -> np.ndarray:
         """Per-trial maxima of the length-``n`` prefixes."""
-        n = self._check_size(n)
-        return self._matrix[:, :n].max(axis=1)
+        return self._extrema(n)[1]
 
-    def value_range(self, n: int) -> np.ndarray:
+    def value_range(self, n) -> np.ndarray:
         """Per-trial sample ranges ``max - min`` of the prefixes."""
-        return self.maximum(n) - self.minimum(n)
+        low, high = self._extrema(n)
+        return high - low
 
 
 class SlidingWindowMoments:

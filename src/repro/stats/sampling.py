@@ -186,6 +186,18 @@ class ProgressiveSampler:
         """Largest prefix this sampler serves (== population by default)."""
         return int(self._permutation.size)
 
+    @property
+    def ordering(self) -> np.ndarray:
+        """The whole fixed ordering, length :attr:`max_size` (read-only view).
+
+        Every prefix sample is a prefix of it, so a sweep that consumes
+        the largest prefix gathers through this view instead of copying
+        one :meth:`prefix` per trial.
+        """
+        view = self._permutation.view()
+        view.flags.writeable = False
+        return view
+
     def prefix(self, size: int) -> np.ndarray:
         """The nested sample of the given size.
 

@@ -899,14 +899,14 @@ class SweepUnit:
     suite: DetectorSuite | None = None
 
 
-def run_sweep_unit(unit: SweepUnit) -> tuple[list, dict[int, int]]:
+def run_sweep_unit(unit: SweepUnit) -> tuple[object, dict[int, int]]:
     """Execute one sweep unit (in-process or inside a worker).
 
     Args:
         unit: The sweep unit.
 
     Returns:
-        The unit's per-fraction ``SweptFraction`` results and its
+        The unit's :class:`~repro.core.profiler.SweptGrid` and its
         per-resolution invocation counts.
     """
     from repro.core.profiler import DegradationProfiler

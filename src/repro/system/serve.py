@@ -47,6 +47,9 @@ Endpoints (all request/response bodies are JSON):
 ``POST /bound``        same kernel, bound-only response (micro-batched)
 ``POST /profile``      degradation hypercube slices (fingerprint-cached)
 ``POST /choose``       tradeoff choice over a (cached) profile
+``POST /stream``       without ``id``: open a hot stream (sentinel armed);
+                       with ``id`` and ``values``: ingest a chunk -> check
+``GET  /stream/<id>``  one stream's readout: value, bound and verdict
 ``POST /shutdown``     graceful drain + exit
 =====================  ====================================================
 
@@ -1226,11 +1229,6 @@ class ServeDaemon:
         self.session.shutdown()
         if self._stopping is not None:
             self._stopping.set()
-
-    def request_stop(self) -> None:
-        """Shutdown trigger callable from signal handlers on the loop."""
-        if self._stopping is not None and not self._stopping.is_set():
-            asyncio.get_running_loop().create_task(self.stop())
 
     async def wait_stopped(self) -> None:
         """Block until :meth:`stop` completed."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.profiler import PointEstimate, SweptFraction
+from repro.core.profiler import PointEstimate, SweptGrid
 from repro.estimators.dispatch import estimate_query
 from repro.estimators.quantile import SmokescreenQuantileEstimator
 from repro.estimators.repair import ProfileRepair
@@ -99,16 +99,16 @@ def sweep_unit(unit: SweepUnit):
             f=unit.fractions[0], p=unit.resolution, c=unit.removal
         ),
     )
-    swept: list[SweptFraction] = []
+    rows: list[tuple[int, np.ndarray, np.ndarray]] = []
     previous = None
-    for fraction, size in zip(unit.fractions, sizes):
+    for size in sizes:
         priced = [
             price(query, full[eligible[sampler.prefix(size)]], eligible.size,
                   is_random, correction)
             for sampler in samplers
         ]
         values, bounds = (np.array(column) for column in zip(*priced))
-        swept.append(SweptFraction(fraction, values, bounds, size))
+        rows.append((size, values, bounds))
         tolerance = unit.early_stop_tolerance
         if (
             tolerance is not None
@@ -117,10 +117,11 @@ def sweep_unit(unit: SweepUnit):
         ):
             break
         previous = bounds.mean()
+    kept_sizes, values, bounds = zip(*rows)
     counts = {}
     if _charged(query, resolution, base.quality):
-        counts[resolution.side] = swept[-1].size * len(samplers)
-    return swept, counts
+        counts[resolution.side] = kept_sizes[-1] * len(samplers)
+    return SweptGrid(kept_sizes, np.stack(values), np.stack(bounds)), counts
 
 
 def plan_unit(unit: PlanUnit):
@@ -217,8 +218,8 @@ class EagerPrefixMoments:
     Builds all six ``(trials, max_size)`` arrays up front — the values,
     the raw cumulative sum, the shifted cumulative sum and sum of squares,
     and the running extrema — and answers every query with a column
-    slice. The product builds the shifted sums on first use and reduces
-    the extrema per call; both must agree with this byte for byte.
+    slice. The product builds the shifted sums on first use and keeps
+    running extrema; both must agree with this byte for byte.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:

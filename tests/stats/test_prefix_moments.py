@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, EstimationError
 from repro.stats.prefix_moments import PrefixMoments
@@ -170,3 +172,69 @@ class TestMatchesEagerOracle:
         n = matrix.shape[1]
         assert_bytes_equal(getattr(lazy, first)(n), getattr(eager, first)(n))
         assert_bytes_equal(lazy.variance(7, 1), eager.variance(7, 1))
+
+
+#: Values with negatives and both signed zeros, so ties between ``0.0``
+#: and ``-0.0`` occur often.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _matrix_and_lengths(draw):
+    trials = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 30))
+    flat = draw(st.lists(_VALUES, min_size=trials * size, max_size=trials * size))
+    lengths = draw(st.lists(st.integers(1, size), min_size=1, max_size=12))
+    order = draw(st.sampled_from(["drawn", "ascending", "descending"]))
+    if order == "ascending":
+        lengths = sorted(lengths)
+    elif order == "descending":
+        lengths = sorted(lengths, reverse=True)
+    return np.array(flat).reshape(trials, size), lengths
+
+
+class TestRunningExtrema:
+    """Running extrema equal a direct ``matrix[:, :n]`` reduction.
+
+    ``array_equal`` compares numbers, so ``0.0 == -0.0``: which signed
+    zero a tie returns depends on the reduction order, and no bound reads
+    the sign of a zero range.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrix_and_lengths())
+    def test_any_length_sequence_matches_direct(self, case):
+        matrix, lengths = case
+        moments = PrefixMoments(matrix)
+        for n in lengths:
+            low, high = matrix[:, :n].min(axis=1), matrix[:, :n].max(axis=1)
+            assert np.array_equal(moments.minimum(n), low)
+            assert np.array_equal(moments.maximum(n), high)
+            assert np.array_equal(moments.value_range(n), high - low)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_matrix_and_lengths())
+    def test_grid_rows_match_single_lengths(self, case):
+        matrix, lengths = case
+        grid = sorted(lengths)
+        moments = PrefixMoments(matrix)
+        for method in ("minimum", "maximum", "value_range", "mean"):
+            rows = getattr(moments, method)(grid)
+            assert rows.shape == (len(grid), matrix.shape[0])
+            assert rows.flags["C_CONTIGUOUS"]
+            for f, n in enumerate(grid):
+                single = getattr(PrefixMoments(matrix), method)(n)
+                assert np.array_equal(rows[f], single)
+
+    @pytest.mark.parametrize("method", ["minimum", "maximum", "value_range"])
+    def test_returned_arrays_do_not_alias_the_cache(self, matrix, method):
+        moments = PrefixMoments(matrix)
+        for n in (10, 10, 40, (40, 80), 80):
+            getattr(moments, method)(n)[...] = 1e300
+        for n in (5, 10, 40, 80):
+            prefix = matrix[:, :n]
+            assert np.array_equal(moments.minimum(n), prefix.min(axis=1))
+            assert np.array_equal(moments.maximum(n), prefix.max(axis=1))
