@@ -393,63 +393,34 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the hot serving daemon until SIGINT/SIGTERM."""
     from repro.system.serve import ServeConfig, run_daemon
 
-    datasets = tuple(
-        part.strip() for part in args.datasets.split(",") if part.strip()
-    )
+    # Every ServeConfig field but the cache limit is a flag of the same
+    # name; ServeConfig checks each one (``datasets`` as a comma list).
     limit = (
         int(args.cache_limit_mb * 1_000_000)
         if args.cache_limit_mb is not None
         else None
     )
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        datasets=datasets,
-        frames=args.frames,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        cache_limit_bytes=limit,
-        max_batch=args.max_batch,
-        max_queue=args.max_queue,
-        tenant_rate=args.tenant_rate,
-        tenant_burst=args.tenant_burst,
-        delta=args.delta,
-    )
-    return run_daemon(config)
+    return run_daemon(ServeConfig(cache_limit_bytes=limit, **{
+        knob.name: getattr(args, knob.name)
+        for knob in fields(ServeConfig) if knob.name != "cache_limit_bytes"
+    }))
 
 
 def cmd_call(args: argparse.Namespace) -> int:
     """Send one query to a running daemon and print the JSON response."""
     import asyncio
 
-    from repro.system.serve import post_json
+    from repro.system.serve import QUERY, post_json
 
     get_paths = ("healthz", "metrics", "stats")
     path = f"/{args.endpoint}"
     payload: dict | None = None
     if args.endpoint not in get_paths:
+        # Every flag named after a query-body field that was given.
         payload = {
-            "dataset": args.dataset,
-            "aggregate": args.aggregate,
-            "seed": args.seed,
-            "tenant": args.tenant,
+            row.name: getattr(args, row.name) for row in QUERY.fields
+            if getattr(args, row.name, None) is not None
         }
-        if args.fraction is not None:
-            payload["fraction"] = args.fraction
-        if args.resolution is not None:
-            payload["resolution"] = args.resolution
-        if args.remove:
-            payload["remove"] = args.remove
-        if args.method != "smokescreen":
-            payload["method"] = args.method
-        if args.trials != 1:
-            payload["trials"] = args.trials
-        if args.fraction_step is not None:
-            payload["fraction_step"] = args.fraction_step
-        if args.resolution_count is not None:
-            payload["resolution_count"] = args.resolution_count
-        if args.max_error is not None:
-            payload["max_error"] = args.max_error
         if args.json:
             payload.update(json.loads(args.json))
     status, body = asyncio.run(

@@ -24,6 +24,9 @@ Every radius has two forms sharing one argument validator: the scalar
 ``value_range`` / ``sample_std`` and return an ndarray of radii. The batch
 forms are the statistical core of the profiler's vectorized sweep kernel:
 one call prices a whole (trials,) or (trials, fractions) grid of intervals.
+Each public function checks each of its arguments once and then calls the
+unchecked kernels (``_rho``, ``_bernstein`` and their batch twins), so a
+radius built on another one does not validate twice.
 """
 
 from __future__ import annotations
@@ -36,16 +39,21 @@ from repro.errors import ConfigurationError
 from repro.stats.hypergeometric import z_score
 
 
-def _check_common(n, delta: float, value_range) -> None:
+def _check_common(n, delta, value_range) -> None:
     """Validate arguments shared by every radius function.
 
     Accepts scalars and ndarrays alike (``n`` and ``value_range`` may be
-    arrays in the batch variants); ``delta`` is always a scalar because a
-    single sweep prices every interval at one failure probability.
+    arrays in the batch variants). ``delta`` is a scalar except in
+    :func:`empirical_bernstein_radius_batch`, whose union variant spends
+    a different ``delta_t`` per prefix length.
     """
     if np.any(np.asarray(n) <= 0):
         raise ConfigurationError(f"sample size must be positive, got n={n}")
-    if not 0.0 < delta < 1.0:
+    if isinstance(delta, np.ndarray):
+        delta_ok = np.all((delta > 0.0) & (delta < 1.0))
+    else:
+        delta_ok = 0.0 < delta < 1.0
+    if not delta_ok:
         raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
     if np.any(np.asarray(value_range) < 0.0):
         raise ConfigurationError(
@@ -105,6 +113,11 @@ def hoeffding_serfling_rho(n: int, population: int) -> float:
     if n <= 0:
         raise ConfigurationError(f"sample size must be positive, got n={n}")
     _check_population(n, population)
+    return _rho(n, population)
+
+
+def _rho(n: int, population: int) -> float:
+    """:func:`hoeffding_serfling_rho` over checked arguments."""
     first = 1.0 - (n - 1) / population
     second = (1.0 - n / population) * (1.0 + 1.0 / n)
     return min(first, second)
@@ -130,7 +143,8 @@ def hoeffding_serfling_radius(
         The interval half-width ``I``.
     """
     _check_common(n, delta, value_range)
-    rho = hoeffding_serfling_rho(n, population)
+    _check_population(n, population)
+    rho = _rho(n, population)
     return value_range * math.sqrt(rho * math.log(2.0 / delta) / (2.0 * n))
 
 
@@ -154,6 +168,11 @@ def empirical_bernstein_radius(
     """
     _check_common(n, delta, value_range)
     _check_std(sample_std)
+    return _bernstein(n, delta, value_range, sample_std)
+
+
+def _bernstein(n, delta: float, value_range, sample_std) -> float:
+    """:func:`empirical_bernstein_radius` over checked arguments."""
     log_term = math.log(3.0 / delta)
     return sample_std * math.sqrt(2.0 * log_term / n) + 3.0 * value_range * log_term / n
 
@@ -180,8 +199,9 @@ def empirical_bernstein_union_radius(
         The interval half-width at step ``t``.
     """
     _check_common(t, delta, value_range)
+    _check_std(sample_std)
     delta_t = delta / (t * (t + 1))
-    return empirical_bernstein_radius(t, delta_t, value_range, sample_std)
+    return _bernstein(t, delta_t, value_range, sample_std)
 
 
 def empirical_bernstein_serfling_radius(
@@ -213,7 +233,8 @@ def empirical_bernstein_serfling_radius(
     """
     _check_common(n, delta, value_range)
     _check_std(sample_std)
-    rho = hoeffding_serfling_rho(n, population)
+    _check_population(n, population)
+    rho = _rho(n, population)
     log_term = math.log(5.0 / delta)
     kappa = 7.0 / 3.0 + 3.0 / math.sqrt(2.0)
     return sample_std * math.sqrt(2.0 * rho * log_term / n) + (
@@ -281,7 +302,11 @@ def hoeffding_serfling_rho_batch(n, population: int) -> np.ndarray:
     if np.any(np.asarray(n) <= 0):
         raise ConfigurationError(f"sample size must be positive, got n={n}")
     _check_population(n, population)
-    n = np.asarray(n, dtype=float)
+    return _rho_batch(np.asarray(n, dtype=float), population)
+
+
+def _rho_batch(n: np.ndarray, population: int) -> np.ndarray:
+    """:func:`hoeffding_serfling_rho_batch` over checked float ``n``."""
     first = 1.0 - (n - 1.0) / population
     second = (1.0 - n / population) * (1.0 + 1.0 / n)
     return np.minimum(first, second)
@@ -302,8 +327,9 @@ def hoeffding_serfling_radius_batch(
         The elementwise interval half-widths.
     """
     _check_common(n, delta, value_range)
-    rho = hoeffding_serfling_rho_batch(n, population)
+    _check_population(n, population)
     n = np.asarray(n, dtype=float)
+    rho = _rho_batch(n, population)
     return np.asarray(value_range) * np.sqrt(
         rho * math.log(2.0 / delta) / (2.0 * n)
     )
@@ -328,20 +354,19 @@ def empirical_bernstein_radius_batch(
     Returns:
         The elementwise interval half-widths.
     """
-    if np.any(np.asarray(n) <= 0):
-        raise ConfigurationError(f"sample size must be positive, got n={n}")
-    delta_arr = np.asarray(delta, dtype=float)
-    if np.any(delta_arr <= 0.0) or np.any(delta_arr >= 1.0):
-        raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
-    if np.any(np.asarray(value_range) < 0.0):
-        raise ConfigurationError(
-            f"value range must be non-negative, got {value_range}"
-        )
+    _check_common(n, delta, value_range)
     _check_std(sample_std)
-    n = np.asarray(n, dtype=float)
+    return _bernstein_batch(
+        np.asarray(n, dtype=float), delta, value_range, sample_std
+    )
+
+
+def _bernstein_batch(n: np.ndarray, delta, value_range, sample_std):
+    """:func:`empirical_bernstein_radius_batch` over checked arguments."""
+    delta = np.asarray(delta, dtype=float)
     log_term = np.array(
-        [math.log(3.0 / d) for d in delta_arr.flat], dtype=float
-    ).reshape(delta_arr.shape)
+        [math.log(3.0 / d) for d in delta.flat], dtype=float
+    ).reshape(delta.shape)
     return np.asarray(sample_std) * np.sqrt(2.0 * log_term / n) + (
         3.0 * np.asarray(value_range) * log_term / n
     )
@@ -362,9 +387,10 @@ def empirical_bernstein_union_radius_batch(
         The elementwise interval half-widths at each step.
     """
     _check_common(t, delta, value_range)
+    _check_std(sample_std)
     t = np.asarray(t, dtype=float)
     delta_t = delta / (t * (t + 1.0))
-    return empirical_bernstein_radius_batch(t, delta_t, value_range, sample_std)
+    return _bernstein_batch(t, delta_t, value_range, sample_std)
 
 
 def empirical_bernstein_serfling_radius_batch(
@@ -384,8 +410,9 @@ def empirical_bernstein_serfling_radius_batch(
     """
     _check_common(n, delta, value_range)
     _check_std(sample_std)
-    rho = hoeffding_serfling_rho_batch(n, population)
+    _check_population(n, population)
     n = np.asarray(n, dtype=float)
+    rho = _rho_batch(n, population)
     log_term = math.log(5.0 / delta)
     kappa = 7.0 / 3.0 + 3.0 / math.sqrt(2.0)
     return np.asarray(sample_std) * np.sqrt(2.0 * rho * log_term / n) + (

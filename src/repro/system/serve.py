@@ -33,7 +33,7 @@ framework, no new dependencies):
   live telemetry registry, and per-tenant accounting lands on the
   run-ledger record the daemon's run appends on shutdown.
 
-Endpoints (all request/response bodies are JSON):
+Endpoints (the rows of :data:`ENDPOINTS`; all bodies are JSON):
 
 =====================  ====================================================
 ``GET  /healthz``      liveness + uptime
@@ -52,6 +52,12 @@ Endpoints (all request/response bodies are JSON):
 ``GET  /stream/<id>``  one stream's readout: value, bound and verdict
 ``POST /shutdown``     graceful drain + exit
 =====================  ====================================================
+
+Every request body is checked once, against one table of typed rows
+(:mod:`repro.system.schema`): :data:`QUERY` for the four query endpoints
+(``/choose`` also requires ``max_error``), :data:`STREAM_OPEN` and
+:data:`STREAM_INGEST` for ``/stream``. A bad value, a missing required
+field or a key no row names is a 400 whose message names the field.
 
 Every query request mints a :class:`~repro.system.observe.tracing.
 TraceContext` (honouring an inbound ``X-Repro-Trace-Id`` header), so the
@@ -78,7 +84,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -108,6 +114,7 @@ from repro.system.executor import (
 from repro.system.observe import ledger as run_ledger
 from repro.system.observe import labeled_name, prometheus_exposition
 from repro.system.observe import tracing
+from repro.system.schema import Field, RequestError, Schema
 from repro.system.stream import StreamSession
 from repro.video.frame import ObjectClass
 
@@ -116,68 +123,121 @@ _LOG = telemetry.get_logger("system.serve")
 #: Default TCP port (unassigned by IANA; "repro" on a phone keypad-ish).
 DEFAULT_PORT = 8177
 
-#: Query kinds the micro-batcher coalesces.
-_BATCHED_KINDS = ("estimate", "bound")
 
-#: Query kinds served through the (cached) profile path.
-_PROFILE_KINDS = ("profile", "choose")
+@dataclass(frozen=True)
+class Endpoint:
+    """One route of the daemon (a row of :data:`ENDPOINTS`).
+
+    Attributes:
+        method: ``GET`` or ``POST``.
+        path: The route; ``<id>`` stands for the last path segment.
+        handler: The :class:`ServeDaemon` method that answers it.
+        query: The body table of a query endpoint, whose kind is its
+            path's name; None for the others.
+        traced: Whether a request mints a trace context: query work does,
+            scrapes such as ``/metrics`` and ``/stats`` do not.
+    """
+
+    method: str
+    path: str
+    handler: str
+    query: Schema | None = None
+    traced: bool = False
 
 
-class RequestError(ReproError):
-    """A malformed or unserveable request (HTTP 400)."""
+#: The query body shared by estimate, bound, profile and choose. A query
+#: may name any preset dataset; ``dataset`` and ``delta`` default to the
+#: daemon's configuration.
+QUERY = Schema(
+    Field("dataset", "name", DATASET_NAMES),
+    Field("aggregate", "name", tuple(a.value for a in Aggregate), "avg"),
+    Field("fraction", "float", "(0, 1]"),
+    Field("resolution", "int", "[1, inf)"),
+    Field("remove", "names", tuple(c.name.lower() for c in ObjectClass), ()),
+    Field("method", "text", default="smokescreen"),
+    Field("seed", "int", "[0, inf)", 0),
+    Field("delta", "float", "(0, 1)"),
+    Field("tenant", "text", default="anonymous"),
+    Field("trials", "int", "[1, inf)", 1),
+    Field("fraction_step", "float", "(0, 1]", 0.25),
+    Field("resolution_count", "int", "[1, inf)", 3),
+    Field("correction", "bool", default=False),
+    Field("axis", "name", ("sampling", "resolution", "removal"), "sampling"),
+    Field("max_error", "float", "(0, inf)"),
+    Field("max_fraction", "float", "(0, 1]"),
+)
+
+#: ``POST /stream`` without ``id``: arm a hot stream. The dataset must
+#: also be preloaded, and the window at most the corpus size; the
+#: sentinel refuses a negative ``profiled_bound`` itself.
+STREAM_OPEN = Schema(
+    Field("dataset", "name", DATASET_NAMES),
+    Field("aggregate", "name", ("avg",), "avg"),
+    Field("delta", "float", "(0, 1)"),
+    Field("tenant", "text", default="anonymous"),
+    Field("seed", "int", "[0, inf)", 7),
+    Field("window", "int", "[1, inf)", 480),
+    Field("min_count", "int", "[1, inf)", 30),
+    Field("patience", "int", "[1, inf)", 2),
+    Field("profiled_bound", "float", "(-inf, inf)"),
+)
+
+#: ``POST /stream`` with ``id``: push one chunk. A ``tenant``, when
+#: given, must be the stream's owner, who is charged for the chunk.
+STREAM_INGEST = Schema(
+    Field("id", "text", required=True),
+    Field("values", "values", 10_000, required=True),
+    Field("tenant", "text"),
+)
+
+#: :class:`ServeConfig`, checked at construction with the same kinds.
+CONFIG = Schema(
+    Field("host", "text", required=True),
+    Field("port", "int", "[0, 65535]", required=True),
+    Field("datasets", "names", DATASET_NAMES, required=True),
+    Field("frames", "int", "[1, inf)"),
+    Field("workers", "int", "[1, inf)", required=True, literal="auto"),
+    Field("cache_dir", "text"),
+    Field("cache_limit_bytes", "int", "[1, inf)"),
+    Field("max_batch", "int", "[1, inf)", required=True),
+    Field("max_queue", "int", "[1, inf)", required=True),
+    Field("tenant_rate", "float", "[0, inf)", required=True),
+    Field("tenant_burst", "int", "[1, inf)", required=True),
+    Field("delta", "float", "(0, 1)", required=True),
+)
+
+#: The daemon's routes, in the order the module docstring lists them.
+ENDPOINTS = (
+    Endpoint("GET", "/healthz", "_healthz"),
+    Endpoint("GET", "/metrics", "_metrics"),
+    Endpoint("GET", "/stats", "_stats"),
+    Endpoint("GET", "/traces", "_traces"),
+    Endpoint("GET", "/traces/<id>", "_trace"),
+    Endpoint("POST", "/estimate", "_batched", QUERY, traced=True),
+    Endpoint("POST", "/bound", "_batched", QUERY, traced=True),
+    Endpoint("POST", "/profile", "_profiled", QUERY, traced=True),
+    Endpoint(
+        "POST", "/choose", "_profiled", QUERY.requiring("max_error"),
+        traced=True,
+    ),
+    Endpoint("POST", "/stream", "_stream", traced=True),
+    Endpoint("GET", "/stream/<id>", "_stream_readout"),
+    Endpoint("POST", "/shutdown", "_shutdown"),
+)
+
+_ROUTES = {(route.method, route.path): route for route in ENDPOINTS}
+_QUERY_TABLES = {
+    route.path[1:]: route.query for route in ENDPOINTS if route.query
+}
 
 
 class AdmissionError(ReproError):
     """A request rejected by admission control (HTTP 429)."""
 
 
-def _knob(payload: Mapping, name: str, default, kind):
-    """``kind(payload[name])``, or ``default`` when absent or null.
-
-    Only a missing or null field takes the default, so an explicit ``0``
-    reaches the caller's range check instead of silently becoming the
-    default.
-
-    Raises:
-        RequestError: The field does not convert to ``kind``.
-    """
-    value = payload.get(name)
-    if value is None:
-        return default
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise RequestError(
-            f"{name} must be a number, got {value!r}"
-        ) from None
-
-
-def _non_negative_int(payload: Mapping, name: str, default):
-    """``payload[name]`` as a non-negative integer, or ``default``.
-
-    Only a missing or null field takes the default. An integral float
-    (``3.0``) is accepted; ``2.9``, a negative number, a bool or a string
-    is refused here, at the boundary, rather than truncated or left to
-    fail inside a kernel call shared with other tenants' requests.
-
-    Raises:
-        RequestError: The field is not a non-negative integer.
-    """
-    value = payload.get(name)
-    if value is None:
-        return default
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise RequestError(
-            f"{name} must be a non-negative integer, got {value!r}"
-        )
-    return value
-
-
 @dataclass(frozen=True)
 class ServeConfig:
-    """Daemon configuration.
+    """Daemon configuration, checked against :data:`CONFIG`.
 
     Attributes:
         host: Bind address.
@@ -192,7 +252,8 @@ class ServeConfig:
         cache_limit_bytes: LRU byte budget for ``cache_dir``.
         max_batch: Hard cap on requests coalesced into one kernel call.
         max_queue: Global admission cap on queued-but-unserved requests.
-        tenant_rate: Per-tenant sustained budget, requests/second.
+        tenant_rate: Per-tenant sustained budget, requests/second (0
+            means a burst-only budget).
         tenant_burst: Per-tenant token-bucket capacity (burst size).
         delta: Default bound failure probability for requests that do
             not specify one.
@@ -212,32 +273,15 @@ class ServeConfig:
     delta: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in self.datasets:
-            if name not in DATASET_NAMES:
-                raise RequestError(
-                    f"unknown dataset {name!r}; valid: {DATASET_NAMES}"
-                )
-        if self.max_batch < 1 or self.max_queue < 1:
-            raise RequestError("max_batch and max_queue must be positive")
-        rate = float(self.tenant_rate)
-        if not math.isfinite(rate) or rate < 0.0:
-            raise RequestError(
-                f"tenant_rate must be a finite requests/second budget "
-                f">= 0 (0 means a burst-only budget), got "
-                f"{self.tenant_rate!r}"
-            )
-        burst = float(self.tenant_burst)
-        if not math.isfinite(burst) or burst < 1.0:
-            raise RequestError(
-                f"tenant_burst must be a finite burst capacity >= 1 "
-                f"(a bucket smaller than one token can never admit a "
-                f"request), got {self.tenant_burst!r}"
-            )
+        for name, value in CONFIG.parse(vars(self)).items():
+            object.__setattr__(self, name, value)
+        if not self.datasets:
+            raise RequestError("datasets must name at least one preset")
 
 
 @dataclass(frozen=True)
 class QueryRequest:
-    """One tenant query, normalised from a JSON payload.
+    """One tenant query, checked against its endpoint's body table.
 
     Attributes:
         kind: ``estimate``, ``bound``, ``profile`` or ``choose``.
@@ -292,76 +336,18 @@ class QueryRequest:
             The request.
 
         Raises:
-            RequestError: The payload is malformed.
+            RequestError: The kind is not a query endpoint, or the
+                payload does not fit its body table.
         """
-        if kind not in _BATCHED_KINDS + _PROFILE_KINDS:
+        table = _QUERY_TABLES.get(kind)
+        if table is None:
             raise RequestError(f"unknown query kind {kind!r}")
-        if not isinstance(payload, Mapping):
-            raise RequestError("request body must be a JSON object")
-        dataset = payload.get("dataset", config.datasets[0])
-        if dataset not in DATASET_NAMES:
-            raise RequestError(
-                f"unknown dataset {dataset!r}; valid: {DATASET_NAMES}"
-            )
-        aggregate = str(payload.get("aggregate", "avg")).lower()
-        try:
-            Aggregate[aggregate.upper()]
-        except KeyError:
-            valid = ", ".join(m.name.lower() for m in Aggregate)
-            raise RequestError(f"unknown aggregate {aggregate!r}; valid: {valid}")
-        remove_raw = payload.get("remove", ())
-        if isinstance(remove_raw, str):
-            remove_raw = [p for p in remove_raw.split(",") if p.strip()]
-        try:
-            remove = tuple(
-                sorted(ObjectClass.from_name(str(n).strip()).name.lower()
-                       for n in remove_raw)
-            )
-        except Exception:
-            raise RequestError(f"unknown removal classes {remove_raw!r}")
-        try:
-            fraction = payload.get("fraction")
-            fraction = None if fraction is None else float(fraction)
-            delta = float(payload.get("delta", config.delta))
-            fraction_step = float(payload.get("fraction_step", 0.25))
-            max_error = payload.get("max_error")
-            max_error = None if max_error is None else float(max_error)
-            max_fraction = payload.get("max_fraction")
-            max_fraction = None if max_fraction is None else float(max_fraction)
-        except (TypeError, ValueError) as error:
-            raise RequestError(f"malformed numeric field: {error}")
-        seed = _non_negative_int(payload, "seed", 0)
-        resolution = _non_negative_int(payload, "resolution", None)
-        trials = _non_negative_int(payload, "trials", 1)
-        resolution_count = _non_negative_int(payload, "resolution_count", 3)
-        if fraction is not None and not 0.0 < fraction <= 1.0:
-            raise RequestError(f"fraction must lie in (0, 1], got {fraction}")
-        if not 0.0 < delta < 1.0:
-            raise RequestError(f"delta must lie in (0, 1), got {delta}")
-        axis = str(payload.get("axis", "sampling"))
-        if axis not in ("sampling", "resolution", "removal"):
-            raise RequestError(f"unknown profile axis {axis!r}")
-        if kind == "choose" and max_error is None:
-            raise RequestError("choose requests need a max_error budget")
-        return cls(
-            kind=kind,
-            dataset=str(dataset),
-            aggregate=aggregate,
-            fraction=fraction,
-            resolution=resolution,
-            remove=remove,
-            method=str(payload.get("method", "smokescreen")),
-            seed=seed,
-            delta=delta,
-            tenant=str(payload.get("tenant", "anonymous")),
-            trials=trials,
-            fraction_step=fraction_step,
-            resolution_count=resolution_count,
-            correction=bool(payload.get("correction", False)),
-            axis=axis,
-            max_error=max_error,
-            max_fraction=max_fraction,
+        fields = table.parse(
+            payload, {"dataset": config.datasets[0], "delta": config.delta}
         )
+        if fields["remove"]:
+            fields["remove"] = tuple(sorted(fields["remove"]))
+        return cls(kind, **fields)
 
     def batch_key(self) -> tuple:
         """The compatibility key micro-batching groups by.
@@ -470,6 +456,10 @@ class ServeSession:
         self._streams: dict[str, dict] = {}
         self._stream_counter = 0
         self._latency_windows: dict[str, deque] = {}
+        #: Charges a stream open or ingest to a tenant once its body checks
+        #: out. The daemon points it at :meth:`MicroBatcher.admit`; a bare
+        #: session (tests, replays) admits everything.
+        self.admit: Callable[[str], None] = lambda tenant: None
         if self._config.cache_dir and diskcache.active_cache() is None:
             diskcache.activate(
                 self._config.cache_dir, self._config.cache_limit_bytes
@@ -780,12 +770,18 @@ class ServeSession:
     # Hot streams: tenants push frames into a live sentinel.
     # ------------------------------------------------------------------
 
-    _MAX_STREAM_VALUES = 10_000
+    _MAX_STREAM_VALUES = STREAM_INGEST["values"].range
 
     #: Live streams kept at once (~20 KB each at window 480). Opening one
     #: more evicts the least-recently-ingested stream, whose id then
     #: answers "unknown stream".
     _MAX_STREAMS = 2048
+
+    def _charge_stream(self, tenant: str) -> None:
+        """Admit one stream request against ``tenant`` and count it."""
+        self.admit(tenant)
+        self.stats["stream_requests"] += 1
+        telemetry.count("serve.stream_requests")
 
     def stream_open(self, payload: Mapping) -> dict:
         """Arm a hot sentinel for a tenant's live feed (``POST /stream``).
@@ -796,39 +792,31 @@ class ServeSession:
         a tenant push frames forever. Only ``avg`` is priced.
 
         Args:
-            payload: JSON body — ``dataset``, ``aggregate``, ``delta``,
-                ``window``, ``min_count``, ``patience``, ``seed``,
-                ``profiled_bound`` (all optional), plus ``tenant``.
+            payload: JSON body checked against :data:`STREAM_OPEN`.
 
         Returns:
             The stream's first readout (includes the assigned ``id``).
         """
-        dataset = str(payload.get("dataset") or self._config.datasets[0])
+        knobs = STREAM_OPEN.parse(
+            payload,
+            {"dataset": self._config.datasets[0], "delta": self._config.delta},
+        )
+        dataset, tenant = knobs["dataset"], knobs["tenant"]
+        window = knobs["window"]
         if dataset not in self._config.datasets:
             raise RequestError(
                 f"dataset {dataset!r} is not preloaded; "
                 f"serving: {self._config.datasets}"
             )
-        aggregate = str(payload.get("aggregate") or "avg")
-        if aggregate.lower() != "avg":
-            raise RequestError(f"/stream prices only avg, got {aggregate!r}")
-        delta = _knob(payload, "delta", self._config.delta, float)
-        if not 0.0 < delta < 1.0:
-            raise RequestError(f"delta must lie in (0, 1), got {delta}")
-        tenant = str(payload.get("tenant") or "anonymous")
-        seed = _non_negative_int(payload, "seed", 7)
-        window = _non_negative_int(payload, "window", 480)
-        min_count = _non_negative_int(payload, "min_count", 30)
-        patience = _non_negative_int(payload, "patience", 2)
-        profiled = _knob(payload, "profiled_bound", None, float)
+        self._charge_stream(tenant)
         values = np.asarray(
             self._processor.frame_values(
-                self._query_for(dataset, "avg", delta)
+                self._query_for(dataset, "avg", knobs["delta"])
             ),
             dtype=float,
         )
         total = int(values.size)
-        if not 1 <= window <= total:
+        if window > total:
             raise RequestError(
                 f"window {window} must lie in [1, corpus size {total}]"
             )
@@ -837,13 +825,13 @@ class ServeSession:
         stream_id = f"s{self._stream_counter + 1:04d}"
         feed = StreamSession.arm(
             values,
-            np.random.default_rng(seed),
+            np.random.default_rng(knobs["seed"]),
             max(2, total // 2),
-            delta=delta,
-            profiled_bound=profiled,
+            delta=knobs["delta"],
+            profiled_bound=knobs["profiled_bound"],
             window=window,
-            min_count=min_count,
-            patience=patience,
+            min_count=knobs["min_count"],
+            patience=knobs["patience"],
             label=f"{tenant}:{dataset}:{stream_id}",
         )
         self._stream_counter += 1
@@ -864,34 +852,27 @@ class ServeSession:
     def stream_ingest(self, payload: Mapping) -> dict:
         """Push a batch of frame values into a hot stream.
 
+        The chunk is charged to the tenant that opened the stream; a
+        ``tenant`` naming anyone else is a 400.
+
         Args:
-            payload: JSON body with the stream ``id`` and a non-empty
-                ``values`` array of finite numbers (capped at
-                ``_MAX_STREAM_VALUES`` per request).
+            payload: JSON body checked against :data:`STREAM_INGEST`: the
+                stream ``id`` and a non-empty ``values`` array of finite
+                numbers (at most ``_MAX_STREAM_VALUES``).
 
         Returns:
             The stream readout after the batch (drift check included).
         """
-        stream_id = str(payload.get("id") or "")
+        chunk = STREAM_INGEST.parse(payload)
+        stream_id = chunk["id"]
         state = self._stream_state(stream_id)
-        raw = payload.get("values")
-        if not isinstance(raw, (list, tuple)) or not raw:
+        if chunk["tenant"] not in (None, state["tenant"]):
             raise RequestError(
-                "values must be a non-empty array of numbers"
+                f"tenant {chunk['tenant']!r} does not own stream "
+                f"{stream_id!r}"
             )
-        if len(raw) > self._MAX_STREAM_VALUES:
-            raise RequestError(
-                f"at most {self._MAX_STREAM_VALUES} values per ingest, "
-                f"got {len(raw)}"
-            )
-        try:
-            batch = np.array(raw, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise RequestError("values must be an array of numbers")
-        if batch.ndim != 1:
-            raise RequestError("values must be an array of numbers")
-        if not np.isfinite(batch).all():
-            raise RequestError("values must be finite")
+        self._charge_stream(state["tenant"])
+        batch = chunk["values"]
         feed: StreamSession = state["feed"]
         tripped_before = feed.sentinel.tripped
         check = feed.ingest(batch)
@@ -1179,6 +1160,7 @@ class ServeDaemon:
         self._config = config or ServeConfig()
         self.session = ServeSession(self._config)
         self.batcher = MicroBatcher(self.session)
+        self.session.admit = self.batcher.admit
         self._server: asyncio.base_events.Server | None = None
         self._stopping: asyncio.Event | None = None
         self.port: int | None = None
@@ -1248,15 +1230,14 @@ class ServeDaemon:
             writer.close()
             return
         except asyncio.TimeoutError:
-            status, content_type, body = 408, "application/json", json.dumps(
+            status, content_type, body = _json(
                 {"error": f"request headers did not arrive within "
-                          f"{self._READ_TIMEOUT_S:g} s"}
+                          f"{self._READ_TIMEOUT_S:g} s"},
+                408,
             )
         except Exception as error:  # pragma: no cover - defensive
             tracing.dump_flight_record("unhandled_error", error=str(error))
-            status, content_type, body = 500, "application/json", json.dumps(
-                {"error": str(error)}
-            )
+            status, content_type, body = _json({"error": str(error)}, 500)
         payload = body.encode("utf-8")
         writer.write(
             (
@@ -1280,7 +1261,7 @@ class ServeDaemon:
         request_line = await asyncio.wait_for(reader.readline(), timeout)
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
-            return 400, "application/json", json.dumps({"error": "bad request"})
+            return _json({"error": "bad request"}, 400)
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
         while True:
@@ -1293,14 +1274,15 @@ class ServeDaemon:
         payload: dict = {}
         declared = headers.get("content-length") or "0"
         if not (declared.isascii() and declared.isdigit()):
-            return 400, "application/json", json.dumps(
-                {"error": f"malformed Content-Length {declared!r}"}
+            return _json(
+                {"error": f"malformed Content-Length {declared!r}"}, 400
             )
         length = int(declared)
         if length > self._MAX_BODY_BYTES:
-            return 413, "application/json", json.dumps(
+            return _json(
                 {"error": f"Content-Length {length} exceeds the "
-                          f"{self._MAX_BODY_BYTES}-byte request body limit"}
+                          f"{self._MAX_BODY_BYTES}-byte request body limit"},
+                413,
             )
         if length:
             try:
@@ -1308,25 +1290,25 @@ class ServeDaemon:
                     reader.readexactly(length), timeout
                 )
             except asyncio.IncompleteReadError as error:
-                return 400, "application/json", json.dumps(
+                return _json(
                     {"error": f"request body is {len(error.partial)} bytes, "
-                              f"short of its Content-Length {length}"}
+                              f"short of its Content-Length {length}"},
+                    400,
                 )
             except asyncio.TimeoutError:
-                return 400, "application/json", json.dumps(
+                return _json(
                     {"error": f"request body is short of its Content-Length "
                               f"{length}: no more bytes came within "
-                              f"{timeout:g} s"}
+                              f"{timeout:g} s"},
+                    400,
                 )
             try:
                 payload = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
-                return 400, "application/json", json.dumps(
-                    {"error": "request body is not valid JSON"}
-                )
+                return _json({"error": "request body is not valid JSON"}, 400)
             if not isinstance(payload, Mapping):
-                return 400, "application/json", json.dumps(
-                    {"error": "request body must be a JSON object"}
+                return _json(
+                    {"error": "request body must be a JSON object"}, 400
                 )
         if "tenant" not in payload:
             tenant = headers.get("x-tenant")
@@ -1336,10 +1318,6 @@ class ServeDaemon:
             method, path, payload, headers.get("x-repro-trace-id")
         )
 
-    #: Endpoints that mint a trace context: query work, not scrapes —
-    #: ``/metrics``, ``/stats`` and friends stay out of the trace ring.
-    _TRACED_ENDPOINTS = _BATCHED_KINDS + _PROFILE_KINDS + ("stream",)
-
     async def _route(
         self,
         method: str,
@@ -1347,24 +1325,33 @@ class ServeDaemon:
         payload: dict,
         trace_header: str | None = None,
     ) -> tuple[int, str, str]:
-        endpoint = path.lstrip("/").split("/", 1)[0] or "root"
-        tenant = str(payload.get("tenant") or "anonymous")
-        traced = method == "POST" and endpoint in self._TRACED_ENDPOINTS
+        name, slash, arg = path.lstrip("/").partition("/")
+        route = f"/{name}/<id>" if slash else f"/{name}"
+        endpoint = _ROUTES.get((method, route))
+        label = name or "root"
+        try:  # the tenant label, read before the body is checked
+            tenant = QUERY["tenant"].parse(payload["tenant"])
+        except (KeyError, RequestError):
+            tenant = "anonymous"
+        traced = endpoint is not None and endpoint.traced
         started = time.perf_counter()
         try:
+            if endpoint is None:
+                return _json({"error": f"no route for {method} {path}"}, 404)
+            handler = getattr(self, endpoint.handler)
             if traced:
                 ctx = tracing.mint(tenant=tenant, trace_id=trace_header)
                 with tracing.use(ctx):
-                    with tracing.span("serve.request", endpoint=endpoint):
-                        return await self._dispatch(method, path, payload)
-            return await self._dispatch(method, path, payload)
+                    with tracing.span("serve.request", endpoint=label):
+                        return await handler(name, arg, payload)
+            return await handler(name, arg, payload)
         except AdmissionError as error:
-            return 429, "application/json", json.dumps({"error": str(error)})
+            return _json({"error": str(error)}, 429)
         except RequestError as error:
-            return 400, "application/json", json.dumps({"error": str(error)})
+            return _json({"error": str(error)}, 400)
         except ReproError as error:
             self.session.stats["errors"] += 1
-            return 400, "application/json", json.dumps({"error": str(error)})
+            return _json({"error": str(error)}, 400)
         finally:
             elapsed = time.perf_counter() - started
             telemetry.observe("serve.request_seconds", elapsed)
@@ -1372,101 +1359,81 @@ class ServeDaemon:
                 telemetry.observe(
                     labeled_name(
                         "serve.request_seconds",
-                        endpoint=endpoint,
+                        endpoint=label,
                         tenant=tenant,
                     ),
                     elapsed,
                 )
-                self.session.note_latency(endpoint, elapsed)
+                self.session.note_latency(label, elapsed)
 
-    async def _dispatch(
-        self, method: str, path: str, payload: dict
-    ) -> tuple[int, str, str]:
-        if method == "GET" and path == "/healthz":
-            return 200, "application/json", json.dumps(
-                {
-                    "status": "ok",
-                    "uptime_seconds": self.session.snapshot_stats()[
-                        "uptime_seconds"
-                    ],
-                }
-            )
-        if method == "GET" and path == "/metrics":
-            snapshot = telemetry.registry().snapshot()
-            return (
-                200,
-                "text/plain; version=0.0.4",
-                prometheus_exposition(snapshot),
-            )
-        if method == "GET" and path == "/stats":
-            return 200, "application/json", json.dumps(
-                self.session.snapshot_stats()
-            )
-        if method == "GET" and path == "/traces":
-            return 200, "application/json", json.dumps(
-                {"traces": tracing.ring().traces()}
-            )
-        if method == "GET" and path.startswith("/traces/"):
-            trace_id = path[len("/traces/"):]
-            events = tracing.ring().trace(trace_id)
-            if not events:
-                return 404, "application/json", json.dumps(
-                    {"error": f"unknown trace {trace_id!r}"}
-                )
-            return 200, "application/json", json.dumps(
-                {
-                    "trace_id": events[0].trace_id,
-                    "spans": [
-                        event.to_dict(children=False) for event in events
-                    ],
-                }
-            )
-        if method == "POST" and path == "/shutdown":
-            asyncio.get_running_loop().create_task(self.stop())
-            return 200, "application/json", json.dumps(
-                {"status": "shutting down"}
-            )
-        if method == "GET" and path.startswith("/stream/"):
-            stream_id = path[len("/stream/"):]
-            return 200, "application/json", json.dumps(
-                self.session.stream_readout(stream_id)
-            )
-        if method == "POST" and path == "/stream":
-            tenant = str(payload.get("tenant") or "anonymous")
-            self.batcher.admit(tenant)
-            self.session.stats["stream_requests"] += 1
-            telemetry.count("serve.stream_requests")
-            if payload.get("id"):
-                body = self.session.stream_ingest(payload)
-            else:
-                body = self.session.stream_open(payload)
-            return 200, "application/json", json.dumps(body)
-        if method == "POST" and path.lstrip("/") in (
-            _BATCHED_KINDS + _PROFILE_KINDS
-        ):
-            kind = path.lstrip("/")
-            request = QueryRequest.from_payload(
-                kind, payload, self._config
-            )
-            self.batcher.admit(request.tenant)
-            if kind in _BATCHED_KINDS:
-                body = await self.batcher.submit(request)
-            else:
-                # run_in_executor does not propagate contextvars: hand
-                # the trace context across the thread boundary explicitly.
-                ctx = tracing.current_context()
-                handler = (
-                    self.session.profile_request
-                    if kind == "profile"
-                    else self.session.choose_request
-                )
-                body = await asyncio.get_running_loop().run_in_executor(
-                    None, partial(tracing.run_with, ctx, handler, request)
-                )
-            return 200, "application/json", json.dumps(body)
-        return 404, "application/json", json.dumps(
-            {"error": f"no route for {method} {path}"}
+    # ------------------------------------------------------------------
+    # Endpoint handlers: ``(name, id, payload)`` -> (status, type, body),
+    # where ``name`` is the path's first segment and ``id`` its second.
+    # ------------------------------------------------------------------
+
+    async def _healthz(self, name: str, arg: str, payload: dict):
+        uptime = self.session.snapshot_stats()["uptime_seconds"]
+        return _json({"status": "ok", "uptime_seconds": uptime})
+
+    async def _metrics(self, name: str, arg: str, payload: dict):
+        snapshot = telemetry.registry().snapshot()
+        text = prometheus_exposition(snapshot)
+        return 200, "text/plain; version=0.0.4", text
+
+    async def _stats(self, name: str, arg: str, payload: dict):
+        return _json(self.session.snapshot_stats())
+
+    async def _traces(self, name: str, arg: str, payload: dict):
+        return _json({"traces": tracing.ring().traces()})
+
+    async def _trace(self, name: str, trace_id: str, payload: dict):
+        events = tracing.ring().trace(trace_id)
+        if not events:
+            return _json({"error": f"unknown trace {trace_id!r}"}, 404)
+        return _json(
+            {
+                "trace_id": events[0].trace_id,
+                "spans": [event.to_dict(children=False) for event in events],
+            }
         )
+
+    async def _batched(self, kind: str, arg: str, payload: dict):
+        request = QueryRequest.from_payload(kind, payload, self._config)
+        self.batcher.admit(request.tenant)
+        return _json(await self.batcher.submit(request))
+
+    async def _profiled(self, kind: str, arg: str, payload: dict):
+        request = QueryRequest.from_payload(kind, payload, self._config)
+        self.batcher.admit(request.tenant)
+        # run_in_executor does not propagate contextvars: hand the trace
+        # context across the thread boundary explicitly.
+        ctx = tracing.current_context()
+        handler = (
+            self.session.profile_request
+            if kind == "profile"
+            else self.session.choose_request
+        )
+        body = await asyncio.get_running_loop().run_in_executor(
+            None, partial(tracing.run_with, ctx, handler, request)
+        )
+        return _json(body)
+
+    async def _stream(self, name: str, arg: str, payload: dict):
+        # A body with an ``id`` pushes a chunk; one without opens a stream.
+        if "id" in payload:
+            return _json(self.session.stream_ingest(payload))
+        return _json(self.session.stream_open(payload))
+
+    async def _stream_readout(self, name: str, stream_id: str, payload: dict):
+        return _json(self.session.stream_readout(stream_id))
+
+    async def _shutdown(self, name: str, arg: str, payload: dict):
+        asyncio.get_running_loop().create_task(self.stop())
+        return _json({"status": "shutting down"})
+
+
+def _json(body: object, status: int = 200) -> tuple[int, str, str]:
+    return status, "application/json", json.dumps(body)
 
 
 _REASONS = {

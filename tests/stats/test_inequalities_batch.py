@@ -182,6 +182,60 @@ class TestBatchValidation:
             )
 
 
+#: Every batch form with good arguments, keyed by parameter name.
+_BATCH_FORMS = {
+    hoeffding_radius_batch: {"n": EDGE_SIZES, "delta": 0.05, "value_range": 2.0},
+    hoeffding_serfling_rho_batch: {"n": EDGE_SIZES, "population": POPULATION},
+    hoeffding_serfling_radius_batch: {
+        "n": EDGE_SIZES, "population": POPULATION, "delta": 0.05,
+        "value_range": 2.0,
+    },
+    empirical_bernstein_radius_batch: {
+        "n": EDGE_SIZES, "delta": 0.05, "value_range": 2.0, "sample_std": 0.5,
+    },
+    empirical_bernstein_union_radius_batch: {
+        "t": EDGE_SIZES, "delta": 0.05, "value_range": 2.0, "sample_std": 0.5,
+    },
+    empirical_bernstein_serfling_radius_batch: {
+        "n": EDGE_SIZES, "population": POPULATION, "delta": 0.05,
+        "value_range": 2.0, "sample_std": 0.5,
+    },
+    clt_radius_batch: {"n": EDGE_SIZES, "delta": 0.05, "sample_std": 0.5},
+}
+
+#: Bad values of each argument; ``n``'s also stand for ``t``.
+_BAD_ARGUMENTS = {
+    "n": [np.array([5, 0, 3]), np.array([-1]), 0],
+    "population": [POPULATION - 1],
+    "delta": [0.0, 1.0, -0.1, float("nan"), 1.5],
+    "value_range": [np.array([1.0, -1.0]), -0.5],
+    "sample_std": [np.array([0.5, -0.5]), -1.0],
+}
+
+
+@pytest.mark.parametrize(
+    "form, argument, bad",
+    [
+        pytest.param(form, argument, bad, id=f"{form.__name__}-{argument}-{i}")
+        for form, good in _BATCH_FORMS.items()
+        for argument in good
+        for i, bad in enumerate(_BAD_ARGUMENTS["n" if argument == "t" else argument])
+    ],
+)
+def test_each_bad_argument_is_refused_by_every_batch_form(form, argument, bad):
+    good = _BATCH_FORMS[form]
+    form(**good)  # the good arguments price
+    with pytest.raises(ConfigurationError):
+        form(**{**good, argument: bad})
+
+
+def test_bernstein_batch_refuses_a_nan_in_a_delta_array():
+    with pytest.raises(ConfigurationError):
+        empirical_bernstein_radius_batch(
+            EDGE_SIZES, np.array([0.05] * 5 + [float("nan")]), 1.0, 1.0
+        )
+
+
 class TestEbgsPrefixUse:
     """The EBGS envelope spends delta_t = delta/(t(t+1)) per prefix."""
 

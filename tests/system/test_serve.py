@@ -941,10 +941,17 @@ class TestBudgetValidation:
             {"tenant_rate": float("nan")},
             {"tenant_rate": -1.0},
             {"tenant_burst": float("inf")},
+            {"delta": 2.0},
+            {"delta": float("nan")},
+            {"frames": -5},
+            {"max_batch": 2.5},
+            {"port": -1},
+            {"workers": 0},
         ],
     )
     def test_serve_config_rejects_bad_budgets(self, overrides):
-        with pytest.raises(RequestError):
+        [field] = overrides
+        with pytest.raises(RequestError, match=field):
             ServeConfig(datasets=("ua-detrac",), **overrides)
 
 
@@ -1087,6 +1094,17 @@ class TestHotStreams:
         after = session.stream_open({})["id"]
         assert int(after[1:]) == int(before[1:]) + 1
 
+    def test_ingest_by_another_tenant_rejected(self, session):
+        stream_id = session.stream_open({"tenant": "cam-owner"})["id"]
+        with pytest.raises(RequestError, match="tenant"):
+            session.stream_ingest(
+                {"id": stream_id, "values": [1.0], "tenant": "cam-other"}
+            )
+        body = session.stream_ingest(
+            {"id": stream_id, "values": [1.0], "tenant": "cam-owner"}
+        )
+        assert body["ingests"] == 1
+
     def test_ingest_rejects_oversized_batch(self, session):
         stream_id = session.stream_open({})["id"]
         with pytest.raises(RequestError, match="at most"):
@@ -1129,6 +1147,34 @@ class TestHotStreams:
 
 class TestStreamHTTP:
     """The /stream endpoints over the wire."""
+
+    def test_ingest_is_admitted_against_the_stream_owner(self):
+        async def scenario(daemon, port):
+            status, opened = await post_json(
+                "127.0.0.1", port, "/stream", {"tenant": "owner"}
+            )
+            assert status == 200, opened
+            chunk = {"id": opened["id"], "values": [1.0] * 10}
+            # Renaming the tenant per chunk does not reach a fresh bucket.
+            for other in ("mallory", "mallory-2"):
+                status, body = await post_json(
+                    "127.0.0.1", port, "/stream", {**chunk, "tenant": other}
+                )
+                assert status == 400 and "tenant" in body["error"], body
+            status, body = await post_json("127.0.0.1", port, "/stream", chunk)
+            assert status == 200, body
+            status, body = await post_json(
+                "127.0.0.1", port, "/stream", {**chunk, "tenant": "owner"}
+            )
+            assert status == 429, body
+            tenants = daemon.session.tenants
+            assert tenants["owner"] == {
+                "requests": 3, "rejected": 1, "served": 2
+            }
+            assert "mallory" not in tenants and "mallory-2" not in tenants
+            return True
+
+        assert run_with_daemon(scenario, tenant_rate=0.0, tenant_burst=2)
 
     def test_open_ingest_readout_round_trip(self):
         async def scenario(daemon, port):
