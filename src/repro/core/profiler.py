@@ -15,13 +15,18 @@ settings whose full-corpus outputs were served by the persistent detector
 cache (:mod:`repro.detection.diskcache`) are already paid for and are not
 recorded.
 
-Every entry point is seeded: trial ``t`` of setting ``u`` draws from
-:func:`repro.system.executor.child_rng` keyed on ``(root, u, t)``, so a
+Every entry point is seeded: trial ``t`` of draw key ``k`` draws from
+:func:`repro.system.executor.child_rng` keyed on ``(root, k, t)``, so a
 result is a pure function of the root seed -- independent of evaluation
 order and therefore of the worker count when a
 :class:`~repro.system.executor.ParallelExecutor` fans settings out over
 processes. :func:`~repro.system.executor.child_rngs` builds a unit's
 trial generators together, hashing their seed words in one numpy pass.
+A plan's key is its setting index. A sweep's key is its removal index
+``ci``: resolution never changes the eligible frames, so every
+resolution of one removal shares one draw per trial
+(:func:`trial_orderings`), and the cube's resolution cells are paired --
+they compare answers over the same frames.
 
 A sweep prices its whole fraction grid in one pass. Because prefix
 samples are nested, ``full[eligible[perm[:n]]]`` equals
@@ -56,6 +61,7 @@ correction-set policy per setting:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,6 +93,41 @@ from repro.system.executor import (
 )
 from repro.video.frame import ObjectClass
 from repro.video.geometry import Resolution
+
+
+@functools.lru_cache(maxsize=1)
+def trial_orderings(
+    root: tuple[int, ...],
+    ci: int,
+    trial_indices: tuple[int, ...],
+    population: int,
+    max_size: int,
+) -> tuple[np.ndarray, ...]:
+    """Each trial's ordering of a sweep's eligible frames, drawn once.
+
+    Trial ``t`` draws ``max_size`` of ``population`` indices with a
+    :class:`~repro.stats.sampling.ProgressiveSampler` over ``child_rng(root,
+    ci, t)``. The result is a pure function of the arguments, so the
+    one-entry memo changes no output: it lets every resolution of one
+    removal reuse the draw while a removal-major cube (serial, or a pool
+    worker's run of units) sweeps them. It retains one ``(trials,
+    max_size)`` set of int64 indices per process.
+
+    Args:
+        root: Normalised root entropy.
+        ci: The draw key (first spawn-key coordinate): a cube's removal
+            index.
+        trial_indices: The trial coordinates, in row order.
+        population: The eligible universe size.
+        max_size: The sweep's largest sample size.
+
+    Returns:
+        One read-only ordering view per trial, shared by every caller.
+    """
+    return tuple(
+        ProgressiveSampler(population, rng, max_size).ordering
+        for rng in child_rngs(root, ci, trial_indices)
+    )
 
 
 @dataclass(frozen=True)
@@ -281,9 +322,10 @@ class DegradationProfiler:
     ) -> SweptGrid:
         """One (resolution, removal) fraction sweep with seeded trials.
 
-        Trial ``t`` permutes the eligible universe with ``child_rng(root,
-        unit_index, t)``; results are independent of which process runs
-        the sweep and which other trials it shares the unit with.
+        Trial ``t`` orders the eligible universe with ``child_rng(root,
+        unit_index, t)`` through :func:`trial_orderings`; results are
+        independent of which process runs the sweep, which other trials
+        it shares the unit with, and whether the memo served the draw.
 
         The unit is priced in one pass. Each trial's ordering gathers
         once through ``full_values[eligible]`` into its row of the maximal
@@ -302,7 +344,8 @@ class DegradationProfiler:
             removal: Fixed restricted classes.
             correction: Optional correction set.
             root: Root entropy of the seed stream.
-            unit_index: This setting's index (first spawn-key coordinate).
+            unit_index: The draw key (first spawn-key coordinate); a cube
+                passes the removal index, so its resolutions share it.
             trial_indices: The trial coordinates this call evaluates.
             early_stop_tolerance: Stop the sweep when the mean bound over
                 *these* trials improves by less than this; pass None when
@@ -338,10 +381,10 @@ class DegradationProfiler:
             sizes = tuple(SampleDesign(eligible.size, f).size for f in fractions)
             max_size = max(sizes)
             # Each trial draws only the prefix the sweep can consume.
-            orderings = [
-                ProgressiveSampler(eligible.size, rng, max_size).ordering
-                for rng in child_rngs(root, unit_index, trial_indices)
-            ]
+            orderings = trial_orderings(
+                normalize_root(root), unit_index, tuple(trial_indices),
+                eligible.size, max_size,
+            )
             with telemetry.span(
                 "profiler.gather", eligible=int(eligible.size), max_size=max_size
             ):
@@ -608,8 +651,12 @@ class DegradationProfiler:
 
         Each (removal, resolution) pair is one work unit sweeping the
         fraction axis with all trials inside it, so early stopping keeps
-        its incremental semantics per unit. Unit ``ci * R + ri`` seeds
-        trial ``t`` from ``child_rng(root, ci * R + ri, t)``.
+        its incremental semantics per unit. Units run removal-major, and
+        every unit of removal ``ci`` seeds trial ``t`` from
+        ``child_rng(root, ci, t)``: removal alone fixes the eligible
+        frames, so the resolutions of a removal share one draw
+        (:func:`trial_orderings`) and each cell ``(ri, ci)`` is the
+        standalone seeded sweep at draw key ``ci``.
 
         Args:
             query: The query.
@@ -625,22 +672,25 @@ class DegradationProfiler:
         """
         executor = executor or ParallelExecutor()
         root_t = normalize_root(root)
-        resolution_count = len(candidates.resolutions)
+        cells = [
+            (ri, ci)
+            for ci in range(len(candidates.removals))
+            for ri in range(len(candidates.resolutions))
+        ]
         units = [
             SweepUnit(
                 query=query,
                 fractions=tuple(candidates.fractions),
-                resolution=resolution,
-                removal=tuple(combo),
+                resolution=candidates.resolutions[ri],
+                removal=tuple(candidates.removals[ci]),
                 correction=correction,
                 trials=self._trials,
                 root=root_t,
-                unit_index=ci * resolution_count + ri,
+                unit_index=ci,
                 early_stop_tolerance=early_stop_tolerance,
                 suite=self._processor.suite,
             )
-            for ci, combo in enumerate(candidates.removals)
-            for ri, resolution in enumerate(candidates.resolutions)
+            for ri, ci in cells
         ]
         with telemetry.span(
             "profiler.hypercube", units=len(units), trials=self._trials
@@ -654,9 +704,8 @@ class DegradationProfiler:
         )
         bounds = np.full(shape, math.nan)
         values = np.full(shape, math.nan)
-        for unit, (swept, counts) in zip(units, outcomes):
+        for (ri, ci), (swept, counts) in zip(cells, outcomes):
             merge_ledger_counts(self._ledger, counts)
-            ci, ri = divmod(unit.unit_index, resolution_count)
             # Early stopping keeps a leading run of the fractions.
             kept = len(swept.sizes)
             bounds[:kept, ri, ci] = swept.bounds.mean(axis=1)

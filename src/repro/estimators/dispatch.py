@@ -20,7 +20,7 @@ experiments can ask for any method by name.
 
 from __future__ import annotations
 
-from typing import Mapping, TypeVar
+from typing import TypeVar
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from repro.estimators.variance import (
     CLTVarianceEstimator,
     SmokescreenVarianceEstimator,
 )
+from repro.query.aggregates import Aggregate
 from repro.query.processor import DegradedExecution
 from repro.query.query import AggregateQuery
 from repro.stats.prefix_moments import PrefixMoments
@@ -52,34 +53,53 @@ from repro.stats.prefix_moments import PrefixMoments
 _Priced = TypeVar("_Priced", Estimate, BatchEstimate)
 
 
+#: Each aggregate family's estimators by name: mean for AVG/SUM/COUNT,
+#: variance for VAR, quantile for MAX/MIN.
+_FAMILIES: dict[str, dict[str, type]] = {
+    family: {cls.name: cls for cls in classes}
+    for family, classes in (
+        ("mean", (
+            SmokescreenMeanEstimator, EBGSEstimator, HoeffdingEstimator,
+            HoeffdingSerflingEstimator, CLTEstimator,
+        )),
+        ("variance", (SmokescreenVarianceEstimator, CLTVarianceEstimator)),
+        ("quantile", (SmokescreenQuantileEstimator, SteinEstimator)),
+    )
+}
+
+#: Family -> its sorted method names, so a caller can check a method
+#: without building estimators.
+_METHOD_NAMES = {
+    family: tuple(sorted(names)) for family, names in _FAMILIES.items()
+}
+
+
+def _family(aggregate: Aggregate) -> str:
+    if aggregate.is_mean_family:
+        return "mean"
+    if aggregate.is_variance:
+        return "variance"
+    return "quantile"
+
+
+def method_names(aggregate: Aggregate) -> tuple[str, ...]:
+    """The sorted estimator names that can price ``aggregate``."""
+    return _METHOD_NAMES[_family(aggregate)]
+
+
 def mean_estimator_registry() -> dict[str, MeanEstimator]:
     """Fresh instances of every mean-family estimator, keyed by name."""
-    estimators: list[MeanEstimator] = [
-        SmokescreenMeanEstimator(),
-        EBGSEstimator(),
-        HoeffdingEstimator(),
-        HoeffdingSerflingEstimator(),
-        CLTEstimator(),
-    ]
-    return {estimator.name: estimator for estimator in estimators}
+    return {name: cls() for name, cls in _FAMILIES["mean"].items()}
 
 
 def quantile_estimator_registry() -> dict[str, QuantileEstimator]:
     """Fresh instances of every quantile estimator, keyed by name."""
-    estimators: list[QuantileEstimator] = [
-        SmokescreenQuantileEstimator(),
-        SteinEstimator(),
-    ]
-    return {estimator.name: estimator for estimator in estimators}
+    return {name: cls() for name, cls in _FAMILIES["quantile"].items()}
 
 
 def variance_estimator_registry() -> dict[str, MeanEstimator]:
     """Fresh instances of every VAR estimator, keyed by name."""
-    estimators: list[MeanEstimator] = [
-        SmokescreenVarianceEstimator(),
-        CLTVarianceEstimator(),
-    ]
-    return {estimator.name: estimator for estimator in estimators}
+    return {name: cls() for name, cls in _FAMILIES["variance"].items()}
 
 
 def _resolve(
@@ -87,24 +107,20 @@ def _resolve(
 ) -> tuple[MeanEstimator | QuantileEstimator, tuple]:
     """The estimator for the query's aggregate family, and its arguments.
 
-    Returns the ``method`` estimator from the family's registry (mean for
-    AVG/SUM/COUNT, variance for VAR, quantile for MAX/MIN) together with
-    the arguments its ``estimate``/``estimate_batch`` take after the
+    Returns a fresh ``method`` estimator of the family's registry (mean
+    for AVG/SUM/COUNT, variance for VAR, quantile for MAX/MIN) together
+    with the arguments its ``estimate``/``estimate_batch`` take after the
     sample and its universe size.
     """
     aggregate = query.aggregate
-    registry: Mapping[str, MeanEstimator | QuantileEstimator]
-    if aggregate.is_mean_family:
-        family, registry = "mean", mean_estimator_registry()
-    elif aggregate.is_variance:
-        family, registry = "variance", variance_estimator_registry()
-    else:
-        family, registry = "quantile", quantile_estimator_registry()
-    estimator = registry.get(method)
-    if estimator is None:
+    family = _family(aggregate)
+    estimator_class = _FAMILIES[family].get(method)
+    if estimator_class is None:
         raise ConfigurationError(
-            f"unknown {family} estimator {method!r}; valid: {sorted(registry)}"
+            f"unknown {family} estimator {method!r}; "
+            f"valid: {list(_METHOD_NAMES[family])}"
         )
+    estimator = estimator_class()
     if family == "quantile":
         return estimator, (query.effective_quantile, query.delta, aggregate)
     return estimator, (query.delta, query.known_value_range)

@@ -52,7 +52,6 @@ from repro.stats.quantiles import (
 from repro.stats.sampling import (
     ProgressiveSampler,
     SampleDesign,
-    sample_without_replacement,
     stratified_time_sample,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "quantile_rank_index",
     "rank_of_value",
     "relative_rank_error",
-    "sample_without_replacement",
     "stratified_time_sample",
     "z_score",
 ]

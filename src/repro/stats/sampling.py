@@ -51,40 +51,6 @@ class SampleDesign:
         n = int(round(self.population * self.fraction))
         return max(1, min(n, self.population))
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw the sample as an array of frame indices.
-
-        Args:
-            rng: Source of randomness for the draw.
-
-        Returns:
-            ``self.size`` distinct indices into ``range(population)``, in
-            draw order (not sorted).
-        """
-        return rng.choice(self.population, size=self.size, replace=False)
-
-
-def sample_without_replacement(
-    population: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``size`` distinct indices from ``range(population)``.
-
-    Args:
-        population: Universe size.
-        size: Number of indices to draw; must satisfy ``0 <= size <= population``.
-        rng: Source of randomness.
-
-    Returns:
-        The drawn indices in draw order.
-    """
-    if population <= 0:
-        raise ConfigurationError(f"population must be positive, got {population}")
-    if not 0 <= size <= population:
-        raise ConfigurationError(
-            f"sample size {size} must lie in [0, population={population}]"
-        )
-    return rng.choice(population, size=size, replace=False)
-
 
 def stratified_time_sample(
     population: int, size: int, rng: np.random.Generator
@@ -175,6 +141,9 @@ class ProgressiveSampler:
             self._permutation = rng.choice(
                 population, max_size, replace=False, shuffle=True
             )
+        # Orderings are shared (a sweep memoises them across units), so
+        # the array behind every view stays read-only.
+        self._permutation.flags.writeable = False
 
     @property
     def population(self) -> int:
@@ -192,11 +161,9 @@ class ProgressiveSampler:
 
         Every prefix sample is a prefix of it, so a sweep that consumes
         the largest prefix gathers through this view instead of copying
-        one :meth:`prefix` per trial.
+        one :meth:`prefix` per trial. The view cannot be made writeable.
         """
-        view = self._permutation.view()
-        view.flags.writeable = False
-        return view
+        return self._permutation.view()
 
     def prefix(self, size: int) -> np.ndarray:
         """The nested sample of the given size.
@@ -213,15 +180,3 @@ class ProgressiveSampler:
                 f"prefix size {size} must lie in [0, {self.max_size}]"
             )
         return self._permutation[:size].copy()
-
-    def prefix_for_fraction(self, fraction: float) -> np.ndarray:
-        """The nested sample for a sampling fraction.
-
-        Args:
-            fraction: Sampling fraction in ``(0, 1]``.
-
-        Returns:
-            The nested sample whose size is ``SampleDesign``'s size rule.
-        """
-        design = SampleDesign(self.population, fraction)
-        return self.prefix(design.size)

@@ -871,6 +871,10 @@ class ParallelExecutor:
 class SweepUnit:
     """One nested fraction sweep: a ``(resolution, removal)`` setting.
 
+    A cube builds one unit per setting and keys the trials' draw by the
+    removal alone, so the units of one removal share their frame draw
+    (:func:`repro.core.profiler.trial_orderings`).
+
     Attributes:
         query: The query to profile.
         fractions: Ascending fraction candidates.
@@ -879,7 +883,8 @@ class SweepUnit:
         correction: Optional correction set.
         trials: Trials averaged inside the unit.
         root: Root entropy of the seed stream.
-        unit_index: The setting's index (first spawn-key coordinate).
+        unit_index: The draw key (first spawn-key coordinate): the
+            removal index in a cube, 0 in a sampling profile.
         trial_indices: Trial coordinates (second spawn-key coordinate);
             defaults to ``range(trials)``.
         early_stop_tolerance: Early-stop threshold; None disables.

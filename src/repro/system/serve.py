@@ -79,6 +79,7 @@ import asyncio
 import json
 import logging
 import math
+import reprlib
 import signal
 import time
 from collections import deque
@@ -92,7 +93,7 @@ from repro.core.smokescreen import Smokescreen
 from repro.core.tradeoff import PublicPreferences, choose_tradeoff
 from repro.detection import diskcache
 from repro.errors import ReproError
-from repro.estimators.dispatch import estimate_rows
+from repro.estimators.dispatch import estimate_rows, method_names
 from repro.experiments.workloads import (
     DATASET_NAMES,
     load_dataset,
@@ -226,6 +227,12 @@ ENDPOINTS = (
 )
 
 _ROUTES = {(route.method, route.path): route for route in ENDPOINTS}
+#: Aggregate -> the ``method`` names its estimator family serves: the one
+#: cross-field check of the query body.
+_METHODS = {
+    aggregate.value: frozenset(method_names(aggregate))
+    for aggregate in Aggregate
+}
 _QUERY_TABLES = {
     route.path[1:]: route.query for route in ENDPOINTS if route.query
 }
@@ -336,8 +343,9 @@ class QueryRequest:
             The request.
 
         Raises:
-            RequestError: The kind is not a query endpoint, or the
-                payload does not fit its body table.
+            RequestError: The kind is not a query endpoint, the payload
+                does not fit its body table, or ``method`` names no
+                estimator of the aggregate's family.
         """
         table = _QUERY_TABLES.get(kind)
         if table is None:
@@ -345,6 +353,13 @@ class QueryRequest:
         fields = table.parse(
             payload, {"dataset": config.datasets[0], "delta": config.delta}
         )
+        methods = _METHODS[fields["aggregate"]]
+        if fields["method"] not in methods:
+            raise RequestError(
+                f"method must be one of {', '.join(sorted(methods))} for "
+                f"aggregate {fields['aggregate']!r}, "
+                f"got {reprlib.repr(fields['method'])}"
+            )
         if fields["remove"]:
             fields["remove"] = tuple(sorted(fields["remove"]))
         return cls(kind, **fields)

@@ -1,9 +1,11 @@
 """Scalar reference for the profiler's and experiments' batch kernels.
 
-Re-draws every trial from its own ``child_rng(root, unit, t)`` stream and
-prices each ``(fraction, trial)`` slice with the public scalar estimators
-and :class:`~repro.estimators.repair.ProfileRepair` — no prefix moments,
-no batch kernels. Each function is a drop-in for one work-unit runner, so
+Re-draws every trial from its own ``child_rng(root, key, t)`` stream, with
+no memo (a sweep unit's key is its draw key, the removal index in a cube;
+a plan's is its setting index), and prices each ``(fraction, trial)``
+slice with the public scalar estimators and
+:class:`~repro.estimators.repair.ProfileRepair` — no prefix moments, no
+batch kernels. Each function is a drop-in for one work-unit runner, so
 :func:`install` swaps the oracle under the product's seeded entry points
 and a test compares the two runs within 1e-9.
 """

@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.stats.sampling import (
-    ProgressiveSampler,
-    SampleDesign,
-    sample_without_replacement,
-)
+from repro.stats.sampling import ProgressiveSampler, SampleDesign
 
 
 class TestSampleDesign:
@@ -26,12 +22,6 @@ class TestSampleDesign:
     def test_size_capped_at_population(self):
         assert SampleDesign(10, 1.0).size == 10
 
-    def test_draw_produces_distinct_indices(self):
-        rng = np.random.default_rng(0)
-        drawn = SampleDesign(100, 0.5).draw(rng)
-        assert len(set(drawn.tolist())) == drawn.size == 50
-        assert drawn.min() >= 0 and drawn.max() < 100
-
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.1])
     def test_rejects_bad_fraction(self, fraction):
         with pytest.raises(ConfigurationError):
@@ -40,28 +30,6 @@ class TestSampleDesign:
     def test_rejects_bad_population(self):
         with pytest.raises(ConfigurationError):
             SampleDesign(0, 0.5)
-
-
-class TestSampleWithoutReplacement:
-    def test_distinct_and_in_range(self):
-        rng = np.random.default_rng(1)
-        drawn = sample_without_replacement(50, 20, rng)
-        assert len(set(drawn.tolist())) == 20
-        assert drawn.min() >= 0 and drawn.max() < 50
-
-    def test_full_draw_is_permutation(self):
-        rng = np.random.default_rng(2)
-        drawn = sample_without_replacement(30, 30, rng)
-        assert sorted(drawn.tolist()) == list(range(30))
-
-    def test_rejects_oversized_draw(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ConfigurationError):
-            sample_without_replacement(10, 11, rng)
-
-    def test_zero_draw_allowed(self):
-        rng = np.random.default_rng(4)
-        assert sample_without_replacement(10, 0, rng).size == 0
 
 
 class TestProgressiveSampler:
@@ -76,10 +44,6 @@ class TestProgressiveSampler:
         sampler = ProgressiveSampler(100, np.random.default_rng(6))
         drawn = sampler.prefix(60)
         assert len(set(drawn.tolist())) == 60
-
-    def test_prefix_for_fraction_matches_design(self):
-        sampler = ProgressiveSampler(1000, np.random.default_rng(7))
-        assert sampler.prefix_for_fraction(0.05).size == SampleDesign(1000, 0.05).size
 
     def test_prefix_returns_copy(self):
         sampler = ProgressiveSampler(50, np.random.default_rng(8))

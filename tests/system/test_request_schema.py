@@ -309,6 +309,50 @@ class TestListedInputsAreRefused:
         assert parsed["values"].tolist() == [1.5, 1.0]
 
 
+class TestMethodMatchesAggregate:
+    """``method`` is checked against the aggregate's estimator family."""
+
+    @pytest.mark.parametrize(
+        "payload, valid",
+        [
+            ({"method": "bogus"}, "clt, ebgs, hoeffding, hoeffding-serfling, "
+                                  "smokescreen"),
+            ({"aggregate": "max", "method": "hoeffding"}, "smokescreen, stein"),
+            ({"aggregate": "var", "method": "stein"}, "clt, smokescreen"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["estimate", "bound", "profile"])
+    def test_unknown_method_is_a_400_listing_the_names(
+        self, kind, payload, valid
+    ):
+        with pytest.raises(RequestError, match="^method must be one of") as info:
+            QueryRequest.from_payload(kind, payload, ServeConfig())
+        assert valid in str(info.value)
+        assert repr(payload["method"]) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "aggregate, method",
+        [("avg", "ebgs"), ("count", "hoeffding-serfling"), ("min", "stein"),
+         ("var", "clt"), ("max", "smokescreen")],
+    )
+    def test_family_methods_are_taken(self, aggregate, method):
+        request = QueryRequest.from_payload(
+            "bound", {"aggregate": aggregate, "method": method}, ServeConfig()
+        )
+        assert request.method == method
+
+    def test_names_match_the_registries(self):
+        from repro.estimators.dispatch import (
+            mean_estimator_registry,
+            quantile_estimator_registry,
+            variance_estimator_registry,
+        )
+
+        assert serve._METHODS["avg"] == set(mean_estimator_registry())
+        assert serve._METHODS["max"] == set(quantile_estimator_registry())
+        assert serve._METHODS["var"] == set(variance_estimator_registry())
+
+
 class TestSchemaRows:
     def test_remove_takes_a_comma_string_or_an_array(self):
         config = ServeConfig()

@@ -539,6 +539,33 @@ class TestDaemonHTTP:
 
         assert run_with_daemon(scenario)
 
+    def test_unknown_method_is_400_before_admission(self):
+        async def scenario(daemon, port):
+            refused = [
+                ({"method": "bogus"}, "hoeffding-serfling"),
+                ({"aggregate": "max", "method": "hoeffding"}, "stein"),
+            ]
+            for payload, listed in refused:
+                status, body = await post_json(
+                    "127.0.0.1", port, "/bound",
+                    {"dataset": "ua-detrac", "tenant": "picky", **payload},
+                )
+                assert status == 400, body
+                assert body["error"].startswith("method must be one of")
+                assert listed in body["error"], body
+            stats = daemon.session.stats
+            assert stats["errors"] == 0 and stats["requests"] == 0
+            assert stats["kernel_calls"] == 0
+            assert "picky" not in daemon.session.snapshot_stats()["tenants"]
+            status, body = await post_json(
+                "127.0.0.1", port, "/bound",
+                {"dataset": "ua-detrac", "aggregate": "max", "method": "stein"},
+            )
+            assert status == 200 and body["method"] == "stein", body
+            return True
+
+        assert run_with_daemon(scenario)
+
     def test_non_object_stream_body_is_400(self):
         async def scenario(daemon, port):
             status, body = await post_json(
