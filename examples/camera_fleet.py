@@ -13,12 +13,10 @@ Run with: ``python examples/camera_fleet.py``
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import mask_rcnn_like, night_street, ua_detrac, yolo_v4_like
 from repro.detection import default_suite
 from repro.query import QueryProcessor
-from repro.system import Camera, CameraFleet
+from repro.system import Camera, FleetQueryProcessor
 
 
 def main() -> None:
@@ -31,23 +29,25 @@ def main() -> None:
     downtown.configure(fraction=0.2)
     suburb.configure(fraction=0.05)
 
-    fleet = CameraFleet([downtown, suburb], QueryProcessor(suite))
+    # No fault model: every camera answers over a perfect channel.
+    fleet = FleetQueryProcessor([downtown, suburb], QueryProcessor(suite))
 
     def model_for(camera):
         # The paper's pairing: YOLOv4 downtown (UA-DETRAC-like scenes),
         # Mask R-CNN for the night street.
         return yolo_v4_like() if camera.name == "downtown" else mask_rcnn_like()
 
-    result = fleet.estimate_mean(model_for, np.random.default_rng(7))
+    report = fleet.execute(model_for, seed=7)
 
     print("per-camera estimates (each at delta/2):")
-    for name, estimate in result.per_camera.items():
+    for name, camera in report.per_camera.items():
+        estimate = camera.estimate
         print(
             f"  {name:<9} value {estimate.value:6.3f}  "
             f"bound {estimate.error_bound:5.3f}  (n={estimate.n})"
         )
 
-    combined = result.combined
+    combined = report.combined
     print(
         f"\nfleet-wide AVG: {combined.value:.3f} cars/frame "
         f"(bounded error {combined.error_bound:.3f} at 95%)"
@@ -64,8 +64,8 @@ def main() -> None:
         f"oracle fleet truth: {truth:.3f} "
         f"(achieved error {abs(combined.value - truth) / truth:.3f})"
     )
-    print(f"frames transmitted: {sum(e.n for e in result.per_camera.values())} "
-          f"of {total}")
+    transmitted = sum(camera.frames_delivered for camera in report.per_camera.values())
+    print(f"frames transmitted: {transmitted} of {total}")
 
 
 if __name__ == "__main__":

@@ -38,16 +38,14 @@ def main() -> None:
     ]
     workload = QueryWorkload(queries, processor, trials=5)
 
-    correction = workload.build_shared_correction_set(np.random.default_rng(1))
+    correction = workload.build_shared_correction_set(1)
     print(
         f"shared correction set: {correction.size} frames "
         f"({correction.size / dataset.frame_count:.1%} of the corpus)"
     )
 
     fractions = (0.02, 0.05, 0.1, 0.2, 0.4, 0.7)
-    profiles = workload.profile_sampling(
-        fractions, np.random.default_rng(2), correction=correction
-    )
+    profiles = workload.profile_sampling(fractions, 2, correction=correction)
     print("\nper-query sampling profiles (fraction -> bounded error):")
     for label, profile in profiles.items():
         bounds = ", ".join(

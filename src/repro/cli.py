@@ -24,8 +24,6 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.core.serialization import load_hypercube, save_hypercube
 from repro.core.smokescreen import Smokescreen
 from repro.detection import diskcache
@@ -44,6 +42,7 @@ from repro.query.processor import QueryProcessor
 from repro.query.query import AggregateQuery
 from repro.system import telemetry
 from repro.system import observe
+from repro.system.executor import child_rng
 from repro.video.frame import ObjectClass
 from repro.video.geometry import Resolution
 
@@ -250,8 +249,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         c=_parse_classes(args.remove),
         suite=processor.suite,
     )
-    rng = np.random.default_rng(args.seed)
-    execution = processor.execute(query, plan, rng)
+    execution = processor.execute(query, plan, child_rng(args.seed))
     estimate = estimate_query(query, execution, args.method)
     print(f"query:     {query.label()}")
     print(f"plan:      {plan.label()}")

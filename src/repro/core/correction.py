@@ -22,6 +22,7 @@ from repro.estimators.dispatch import estimate_values
 from repro.query.processor import QueryProcessor
 from repro.query.query import AggregateQuery
 from repro.stats.sampling import ProgressiveSampler
+from repro.system.executor import child_rng
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class CorrectionSet:
 def determine_correction_set(
     processor: QueryProcessor,
     query: AggregateQuery,
-    rng: np.random.Generator,
+    root: int,
     growth_step: float = 0.01,
     tolerance: float = 0.02,
     size_limit: int | None = None,
@@ -72,7 +73,9 @@ def determine_correction_set(
     Args:
         processor: Query processor (supplies native-resolution values).
         query: The query the correction set will repair bounds for.
-        rng: Randomness for the underlying without-replacement sample.
+        root: Root seed; the without-replacement sample is the root
+            stream ``child_rng(root)``, so one root gives one nested
+            sample whatever the query.
         growth_step: Step size as a corpus fraction (paper: 1%).
         tolerance: Stop when the bound's step-to-step improvement is below
             this (paper: 2%).
@@ -99,7 +102,7 @@ def determine_correction_set(
     step_frames = max(1, int(round(population * growth_step)))
     limit = population if size_limit is None else min(size_limit, population)
 
-    sampler = ProgressiveSampler(population, rng)
+    sampler = ProgressiveSampler(population, child_rng(root))
     full_values = processor.true_values(query)
 
     trace: list[tuple[int, float]] = []

@@ -28,7 +28,12 @@ from repro.query.processor import QueryProcessor
 from repro.query.query import AggregateQuery
 from repro.system.costs import InvocationLedger
 from repro.system.observe import ledger as run_ledger
-from repro.system.executor import ExecutorConfig, ParallelExecutor
+from repro.system.executor import (
+    ExecutorConfig,
+    ParallelExecutor,
+    SeedKey,
+    child_rng,
+)
 from repro.video.dataset import VideoDataset
 
 
@@ -54,7 +59,10 @@ class Smokescreen:
                 YOLOv4-person + MTCNN-face suite.
             delta: Bound failure probability (paper: 0.05).
             trials: Sampling trials averaged per profiled setting.
-            seed: Seed of the system's own RNG stream.
+            seed: Root seed of every draw the system makes: the
+                correction set takes the root stream, profile call ``k``
+                the sweep keys under ``(seed, k)``, and estimate call
+                ``k`` the key ``(SeedKey.ESTIMATE_CALL, k)``.
             workers: Worker processes for profile generation; the profile
                 is bit-identical for any value. ``"auto"`` defers to the
                 host CPU count and workload size.
@@ -69,9 +77,9 @@ class Smokescreen:
             self._processor, trials=trials, ledger=self._ledger
         )
         self._seed = seed
-        self._rng = np.random.default_rng(seed)
         self._executor = ParallelExecutor(ExecutorConfig(workers=workers))
         self._profile_calls = 0
+        self._estimate_calls = 0
 
     @property
     def processor(self) -> QueryProcessor:
@@ -122,6 +130,9 @@ class Smokescreen:
     ) -> CorrectionSet:
         """Size and draw a correction set for a query (§3.3.1).
 
+        The sample is the system seed's root stream, so every call draws
+        the same nested frames.
+
         Args:
             query: The query whose bounds the set will repair.
             growth_step: Growth step as a corpus fraction (paper: 1%).
@@ -136,7 +147,7 @@ class Smokescreen:
         return determine_correction_set(
             self._processor,
             query,
-            self._rng,
+            self._seed,
             growth_step=growth_step,
             tolerance=tolerance,
             size_limit=size_limit,
@@ -230,5 +241,7 @@ class Smokescreen:
         Returns:
             The approximate answer with its error bound.
         """
-        execution = self._processor.execute(query, plan, self._rng)
+        rng = child_rng(self._seed, SeedKey.ESTIMATE_CALL, self._estimate_calls)
+        self._estimate_calls += 1
+        execution = self._processor.execute(query, plan, rng)
         return estimate_query(query, execution, method)

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from repro.core.correction import CorrectionSet, determine_correction_set
 from repro.core.profile import Profile
 from repro.core.profiler import DegradationProfiler
@@ -81,7 +79,7 @@ class QueryWorkload:
         return list(self._queries)
 
     def build_shared_correction_set(
-        self, rng: np.random.Generator, tolerance: float = 0.02
+        self, root: int, tolerance: float = 0.02
     ) -> CorrectionSet:
         """One correction set serving every query in the workload.
 
@@ -91,38 +89,36 @@ class QueryWorkload:
         set (§3.2.5: one set corrects any combination of interventions).
 
         Args:
-            rng: Randomness for the underlying sample. A single nested
-                sampler is reused so the per-query sets are prefixes of the
-                shared one.
+            root: Root seed. Every query sizes its set on the same root
+                stream, so the per-query sets are prefixes of the shared
+                one.
             tolerance: Elbow threshold (paper: 2%).
 
         Returns:
             The shared correction set.
         """
-        seed_state = rng.bit_generator.state
-        largest: CorrectionSet | None = None
-        for query in self._queries:
-            rng.bit_generator.state = seed_state  # same underlying sample
-            candidate = determine_correction_set(
-                self._processor, query, rng, tolerance=tolerance
+        candidates = [
+            determine_correction_set(
+                self._processor, query, root, tolerance=tolerance
             )
-            if largest is None or candidate.size > largest.size:
-                largest = candidate
-        assert largest is not None  # guarded by the constructor
-        return largest
+            for query in self._queries
+        ]
+        return max(candidates, key=lambda candidate: candidate.size)
 
     def profile_sampling(
         self,
         fractions: tuple[float, ...],
-        rng: np.random.Generator,
+        root: int,
         correction: CorrectionSet | None = None,
     ) -> dict[str, Profile]:
         """Sampling-axis profiles for every query, keyed by query label.
 
         Args:
             fractions: Ascending fraction candidates, shared by all.
-            rng: Trial randomness: each query gets its own derived root
-                seed, so profiles are individually reproducible.
+            root: Root seed of the trial draws. Every query prices the
+                same trial samples, as it shares the correction set, and
+                each profile equals ``profile_sampling_seeded(query,
+                fractions, root)`` on its own.
             correction: Optional shared correction set. Note a correction
                 set holds *values*, which are model/aggregate-specific:
                 when queries use different models, build per-query sets
@@ -131,9 +127,8 @@ class QueryWorkload:
         Returns:
             One profile per query.
         """
-        seeds = rng.integers(0, 2**63 - 1, size=len(self._queries))
         profiles: dict[str, Profile] = {}
-        for query, seed in zip(self._queries, seeds):
+        for query in self._queries:
             query_correction = correction
             if correction is not None:
                 # Re-evaluate the correction frames under THIS query's
@@ -148,7 +143,7 @@ class QueryWorkload:
                     trace=correction.trace,
                 )
             profiles[query.label()] = self._profiler.profile_sampling_seeded(
-                query, fractions, int(seed), correction=query_correction
+                query, fractions, root, correction=query_correction
             )
         return profiles
 

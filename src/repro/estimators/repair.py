@@ -30,9 +30,6 @@ import numpy as np
 
 from repro.errors import EstimationError
 from repro.estimators.base import Estimate
-from repro.estimators.quantile import SmokescreenQuantileEstimator
-from repro.estimators.smokescreen import SmokescreenMeanEstimator
-from repro.query.aggregates import Aggregate
 from repro.stats.quantiles import rank_of_value
 
 
@@ -61,54 +58,6 @@ class RepairedEstimate:
 
 class ProfileRepair:
     """Algorithm 3: corrected error bounds for any intervention mix."""
-
-    def __init__(
-        self,
-        mean_estimator: SmokescreenMeanEstimator | None = None,
-        quantile_estimator: SmokescreenQuantileEstimator | None = None,
-    ) -> None:
-        """Configure the repair with the estimators used on both samples.
-
-        Args:
-            mean_estimator: Estimator for AVG/SUM/COUNT; defaults to
-                Smokescreen's Algorithm 1.
-            quantile_estimator: Estimator for MAX/MIN; defaults to
-                Smokescreen's Algorithm 2.
-        """
-        self._mean = mean_estimator or SmokescreenMeanEstimator()
-        self._quantile = quantile_estimator or SmokescreenQuantileEstimator()
-
-    def repair_mean(
-        self,
-        degraded_values: np.ndarray,
-        degraded_universe: int,
-        correction_values: np.ndarray,
-        population_size: int,
-        delta: float,
-    ) -> RepairedEstimate:
-        """Corrected bound for AVG (SUM/COUNT scale the same estimate).
-
-        Args:
-            degraded_values: Sample values from the degraded video.
-            degraded_universe: Eligible-universe size of the degraded sample.
-            correction_values: Correction-set values (random interventions
-                only, drawn from the full corpus).
-            population_size: Total corpus length ``N`` (the correction
-                set's universe).
-            delta: Bound failure probability.
-
-        Returns:
-            The repaired estimate.
-        """
-        degraded = self._mean.estimate(degraded_values, degraded_universe, delta)
-        correction = self._mean.estimate(correction_values, population_size, delta)
-        error_bound = self.corrected_mean_bound(degraded.value, correction)
-        return RepairedEstimate(
-            value=degraded.value,
-            error_bound=error_bound,
-            degraded=degraded,
-            correction=correction,
-        )
 
     @staticmethod
     def corrected_mean_bound(y_approx: float, correction: Estimate) -> float:
@@ -152,46 +101,6 @@ class ProfileRepair:
             return np.full(np.shape(y_approx), math.inf)
         drift = np.abs(y_approx - correction.value) / abs(correction.value)
         return (1.0 + err_v) * drift + err_v
-
-    def repair_quantile(
-        self,
-        degraded_values: np.ndarray,
-        degraded_universe: int,
-        correction_values: np.ndarray,
-        population_size: int,
-        r: float,
-        delta: float,
-        aggregate: Aggregate,
-    ) -> RepairedEstimate:
-        """Corrected bound for MAX/MIN (Equation 13).
-
-        Args:
-            degraded_values: Sample values from the degraded video.
-            degraded_universe: Eligible-universe size of the degraded sample.
-            correction_values: Correction-set values.
-            population_size: Total corpus length ``N``.
-            r: Extreme quantile level.
-            delta: Bound failure probability.
-            aggregate: MAX or MIN.
-
-        Returns:
-            The repaired estimate.
-        """
-        degraded = self._quantile.estimate(
-            degraded_values, degraded_universe, r, delta, aggregate
-        )
-        correction = self._quantile.estimate(
-            correction_values, population_size, r, delta, aggregate
-        )
-        error_bound = self.corrected_quantile_bound(
-            degraded.value, correction.value, correction_values, r, correction
-        )
-        return RepairedEstimate(
-            value=degraded.value,
-            error_bound=error_bound,
-            degraded=degraded,
-            correction=correction,
-        )
 
     @staticmethod
     def corrected_quantile_bound(

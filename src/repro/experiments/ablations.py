@@ -46,6 +46,7 @@ from repro.stats.inequalities import (
 )
 from repro.stats.quantiles import DistinctValueTable
 from repro.system.costs import InvocationLedger
+from repro.system.executor import child_rng
 from repro.video.geometry import Resolution
 
 
@@ -72,7 +73,7 @@ def run_ablation_radius(
     query = workload.query()
     values = QueryProcessor(shared_suite()).true_values(query)
     population = values.size
-    rng = np.random.default_rng(seed)
+    rng = child_rng(seed)
 
     series: dict[str, list[float]] = {
         "hoeffding_serfling": [],
@@ -151,7 +152,7 @@ def run_ablation_replacement(
     query = workload.query()
     values = QueryProcessor(shared_suite()).true_values(query)
     population = values.size
-    rng = np.random.default_rng(seed)
+    rng = child_rng(seed)
     z = z_score(query.delta)
 
     series: dict[str, list[float]] = {
@@ -217,7 +218,7 @@ def run_ablation_elbow(
     series: dict[str, list[float]] = {"correction_fraction": [], "own_bound": []}
     for tolerance in tolerances:
         correction = determine_correction_set(
-            processor, query, np.random.default_rng(seed), tolerance=tolerance
+            processor, query, seed, tolerance=tolerance
         )
         series["correction_fraction"].append(correction.fraction(population))
         series["own_bound"].append(correction.error_bound)
@@ -326,7 +327,7 @@ def run_ablation_stratified(
     values = QueryProcessor(shared_suite()).true_values(query)
     population = values.size
     mu = float(values.mean())
-    rng = np.random.default_rng(seed)
+    rng = child_rng(seed)
     estimator = SmokescreenMeanEstimator()
 
     series: dict[str, list[float]] = {

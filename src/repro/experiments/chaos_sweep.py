@@ -45,7 +45,7 @@ from repro.interventions.physical import (
 from repro.query.processor import QueryProcessor
 from repro.system.camera import Camera
 from repro.system.faults import FaultModel
-from repro.system.executor import ExecutorConfig, ParallelExecutor
+from repro.system.executor import ExecutorConfig, ParallelExecutor, SeedKey
 from repro.system.fleet import FleetQueryProcessor, FleetSentinel
 from repro.system.observe import ledger as run_ledger
 from repro.system.stream import price_sample
@@ -162,8 +162,10 @@ def run_chaos(
     At each outage rate ``q`` the fleet also suffers transient failures at
     ``q / 2``, frame drops at ``q / 4``, and stragglers at ``q / 4`` — a
     proportional chaos profile. Each trial constructs a fresh processor
-    (fresh breakers and clock) so trials are independent and every fault
-    sequence is reproducible from ``(seed, trial index)``.
+    (fresh breakers and clock) so trials are independent. Trial ``t``
+    queries on the root ``(seed, SeedKey.FLEET_TRIAL, t)`` and outage rate
+    ``i`` injects faults from ``(seed, SeedKey.FAULT_RATE, i)``, so every
+    fault sequence is reproducible from the seed, the rate and the trial.
 
     Args:
         trials: Seeded trials per outage rate.
@@ -212,12 +214,14 @@ def run_chaos(
                 cameras,
                 processor,
                 faults=faults,
-                fault_seed=seed + 1000 * rate_index,
+                fault_seed=(seed, SeedKey.FAULT_RATE, rate_index),
                 executor=executor,
             )
             try:
                 report = fleet.execute(
-                    _model_for, delta=delta, seed=seed + trial
+                    _model_for,
+                    delta=delta,
+                    seed=(seed, SeedKey.FLEET_TRIAL, trial),
                 )
             except TransmissionError:
                 unavailable += 1
@@ -305,6 +309,8 @@ def _arm_sentinel(
     camera is what one clean seeded query actually reported at the
     per-survivor budget; corrections are random-intervention samples of
     the clean per-frame values, enabling automatic Algorithm 3 repair.
+    The clean query is the root stream ``seed``; the audited trials query
+    on ``(seed, SeedKey.FLEET_TRIAL, t)`` roots, so no trial replays it.
     """
     clean_report = FleetQueryProcessor(cameras, processor).execute(
         _model_for, delta=delta, seed=seed
@@ -313,9 +319,8 @@ def _arm_sentinel(
         name: float(report.estimate.error_bound)
         for name, report in clean_report.per_camera.items()
     }
-    rng = np.random.default_rng(seed)
     references, corrections = {}, {}
-    for camera in cameras:
+    for index, camera in enumerate(cameras):
         counts = _model_for(camera).run(camera.dataset).counts.astype(float)
         references[camera.name] = Estimate(
             value=truths[camera.name],
@@ -324,7 +329,9 @@ def _arm_sentinel(
             n=camera.dataset.frame_count,
             universe_size=camera.dataset.frame_count,
         )
-        corrections[camera.name] = price_sample(counts, rng, delta)
+        corrections[camera.name] = price_sample(
+            counts, delta, seed, SeedKey.CAMERA_CORRECTION, index
+        )
     sentinel = FleetSentinel(
         references, profiled, corrections=corrections, patience=2
     )
@@ -428,7 +435,7 @@ def run_scenario_chaos(
             report = fleet.execute(
                 lambda camera: models[camera.name],
                 delta=delta,
-                seed=seed + trial,
+                seed=(seed, SeedKey.FLEET_TRIAL, trial),
             )
             audit = report.sentinel
             victim_estimate = report.per_camera[victim].estimate

@@ -32,6 +32,7 @@ from repro.query.aggregates import Aggregate, aggregate_value
 from repro.query.processor import QueryProcessor
 from repro.stats.quantiles import relative_rank_error
 from repro.stats.sampling import SampleDesign
+from repro.system.executor import child_rng
 
 #: Methods whose bounds carry a formal guarantee under random interventions.
 GUARANTEED_ROWS: tuple[tuple[str, Aggregate], ...] = (
@@ -123,7 +124,7 @@ def run_coverage_audit(
         Per (method, aggregate) row: the worst violation percentage across
         both datasets and all fractions.
     """
-    rng = np.random.default_rng(seed)
+    rng = child_rng(seed)
     processor = QueryProcessor(shared_suite())
 
     knobs: list[str] = []

@@ -35,6 +35,7 @@ from repro.estimators.smokescreen import SmokescreenMeanEstimator
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.trials import capped
 from repro.experiments.workloads import UA_DETRAC, load_dataset, model_for
+from repro.system.executor import child_rng
 
 
 def run_extension_temporal(
@@ -70,7 +71,7 @@ def run_extension_temporal(
 
     truth = float(flow_model.run(dataset).counts.mean())
     estimator = SmokescreenMeanEstimator()
-    rng = np.random.default_rng(seed)
+    rng = child_rng(seed)
     window_length = max(2, round(population * window_fraction / window_count))
 
     series: dict[str, list[float]] = {

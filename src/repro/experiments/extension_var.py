@@ -26,6 +26,7 @@ from repro.experiments.workloads import UA_DETRAC, Workload, shared_suite
 from repro.query.aggregates import Aggregate
 from repro.query.processor import QueryProcessor
 from repro.stats.sampling import SampleDesign
+from repro.system.executor import child_rng
 
 
 def run_extension_var(
@@ -53,7 +54,7 @@ def run_extension_var(
     values = QueryProcessor(shared_suite()).true_values(query)
     population = values.size
     truth = float(values.var())
-    rng = np.random.default_rng(seed)
+    rng = child_rng(seed)
 
     ours = SmokescreenVarianceEstimator()
     clt = CLTVarianceEstimator()

@@ -20,47 +20,61 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.estimators.repair import ProfileRepair
-from repro.estimators.smokescreen import SmokescreenMeanEstimator
+from repro.estimators.dispatch import corrected_bounds, estimate_batch
 from repro.experiments.reporting import ExperimentResult
-from repro.experiments.trials import capped
+from repro.experiments.trials import BOUND_DISPLAY_CAP
 from repro.query.aggregates import Aggregate
 from repro.query.processor import QueryProcessor
 from repro.query.query import AggregateQuery
+from repro.stats.prefix_moments import PrefixMoments
 from repro.stats.sampling import ProgressiveSampler
+from repro.system.executor import SeedKey, child_rng
 from repro.video.dataset import VideoDataset
 from repro.video.geometry import Resolution
 from repro.video.presets import detrac_sequence_pair
 
+#: The videos' coordinate in the figure's trial keys.
+_VIDEO_A, _VIDEO_B = 0, 1
+
+
+def _trial_frames(
+    population: int, size: int, seed: int, key: SeedKey, video: int, trial: int
+) -> np.ndarray:
+    """The first ``size`` frames of one trial's nested sample."""
+    rng = child_rng(seed, key, video, trial)
+    return ProgressiveSampler(population, rng).prefix(size)
+
 
 def _mean_bound_at_sizes(
-    values: np.ndarray,
-    population: int,
+    query: AggregateQuery,
     sizes: tuple[int, ...],
     access_limit: int | None,
     trials: int,
     seed: int,
-    delta: float = 0.05,
+    video: int,
 ) -> list[float]:
     """Smokescreen bound at each sample size, averaged over trials.
 
-    When ``access_limit`` caps the available frames, larger requested sizes
+    Every size prices a prefix of the trial's one sample. When
+    ``access_limit`` caps the available frames, larger requested sizes
     reuse the capped sample — the "incomplete and loose" estimation the
     paper attributes to limited frame access.
     """
-    estimator = SmokescreenMeanEstimator()
-    bounds = []
-    for size in sizes:
-        effective = min(size, access_limit) if access_limit else size
-        total = 0.0
-        for trial in range(trials):
-            sampler = ProgressiveSampler(
-                population, np.random.default_rng(seed + trial)
-            )
-            sample = values[sampler.prefix(min(effective, population))]
-            total += estimator.estimate(sample, population, delta).error_bound
-        bounds.append(total / trials)
-    return bounds
+    values = QueryProcessor().true_values(query)
+    population = values.size
+    effective = [min(size, access_limit or size, population) for size in sizes]
+    priced = tuple(sorted(set(effective)))
+    matrix = np.stack([
+        values[_trial_frames(
+            population, priced[-1], seed, SeedKey.TRIAL_SAMPLE, video, trial
+        )]
+        for trial in range(trials)
+    ])
+    batch = estimate_batch(
+        query, PrefixMoments(matrix), priced, population, population
+    )
+    means = batch.error_bounds.mean(axis=1)
+    return [float(means[priced.index(size)]) for size in effective]
 
 
 def _resolution_bounds(
@@ -71,34 +85,39 @@ def _resolution_bounds(
     access_limit: int | None,
     trials: int,
     seed: int,
+    video: int,
 ) -> list[float]:
-    """Corrected bound per resolution at a fixed degraded-sample size."""
-    processor = QueryProcessor()
+    """Corrected bound per resolution at a fixed degraded-sample size.
+
+    Each trial's frame and correction samples are shared by every
+    resolution, so one batch call prices a trial's resolutions together
+    and one Algorithm 3 call repairs them.
+    """
     query = AggregateQuery(dataset, model, Aggregate.AVG)
     population = dataset.frame_count
+    size = min(sample_size, population)
     correction_size = min(access_limit or sample_size, population)
-    repair = ProfileRepair()
-
-    bounds = []
-    for side in sides:
-        total = 0.0
-        for trial in range(trials):
-            rng = np.random.default_rng(seed + trial)
-            degraded_values = model.run(dataset, Resolution(side)).counts.astype(float)
-            sampler = ProgressiveSampler(population, rng)
-            degraded_sample = degraded_values[
-                sampler.prefix(min(sample_size, population))
-            ]
-            correction_sampler = ProgressiveSampler(population, rng)
-            correction = processor.true_values(query)[
-                correction_sampler.prefix(correction_size)
-            ]
-            result = repair.repair_mean(
-                degraded_sample, population, correction, population, query.delta
-            )
-            total += capped(result.error_bound)
-        bounds.append(total / trials)
-    return bounds
+    clean = QueryProcessor().true_values(query)
+    degraded = np.stack([
+        model.run(dataset, Resolution(side)).counts.astype(float)
+        for side in sides
+    ])
+    total = np.zeros(len(sides))
+    for trial in range(trials):
+        frames = _trial_frames(
+            population, size, seed, SeedKey.TRIAL_SAMPLE, video, trial
+        )
+        correction = clean[_trial_frames(
+            population, correction_size, seed, SeedKey.TRIAL_CORRECTION,
+            video, trial,
+        )]
+        batch = estimate_batch(
+            query, PrefixMoments(degraded[:, frames]), (size,), population,
+            population,
+        )
+        bounds = corrected_bounds(query, batch, correction, plan_is_random=False)
+        total += np.minimum(bounds[0], BOUND_DISPLAY_CAP)
+    return (total / trials).tolist()
 
 
 def run_fig10_sampling(
@@ -136,21 +155,17 @@ def run_fig10_sampling(
     from repro.detection.zoo import yolo_v4_like
 
     model = yolo_v4_like()
-    values_a = model.run(video_a).counts.astype(float)
-    values_b = model.run(video_b).counts.astype(float)
+    query_a = AggregateQuery(video_a, model, Aggregate.AVG)
+    query_b = AggregateQuery(video_b, model, Aggregate.AVG)
 
-    # The limited profile shares the target's sampler (same frames, only
+    # The limited profile shares the target's sample (same frames, only
     # the access cap differs), so its difference is exactly the cost of
     # incomplete estimation beyond the cap and zero below it.
-    target = _mean_bound_at_sizes(
-        values_a, video_a.frame_count, sizes, None, trials, seed
-    )
+    target = _mean_bound_at_sizes(query_a, sizes, None, trials, seed, _VIDEO_A)
     limited = _mean_bound_at_sizes(
-        values_a, video_a.frame_count, sizes, access_limit, trials, seed
+        query_a, sizes, access_limit, trials, seed, _VIDEO_A
     )
-    similar = _mean_bound_at_sizes(
-        values_b, video_b.frame_count, sizes, None, trials, seed + 2000
-    )
+    similar = _mean_bound_at_sizes(query_b, sizes, None, trials, seed, _VIDEO_B)
 
     return ExperimentResult(
         title=(
@@ -205,14 +220,14 @@ def run_fig10_resolution(
     model = yolo_v4_like()
 
     target = _resolution_bounds(
-        video_a, model, sides, sample_size, None, trials, seed
+        video_a, model, sides, sample_size, None, trials, seed, _VIDEO_A
     )
     limited = _resolution_bounds(
-        video_a, model, sides, sample_size, access_limit, trials, seed
+        video_a, model, sides, sample_size, access_limit, trials, seed,
+        _VIDEO_A,
     )
     similar = _resolution_bounds(
-        video_b, model, sides, min(sample_size, video_b.frame_count), None,
-        trials, seed + 2000,
+        video_b, model, sides, sample_size, None, trials, seed, _VIDEO_B
     )
 
     return ExperimentResult(

@@ -24,6 +24,7 @@ from repro.query.aggregates import Aggregate
 from repro.query.processor import QueryProcessor
 from repro.stats.hypergeometric import z_score
 from repro.stats.sampling import SampleDesign
+from repro.system.executor import child_rng
 
 
 def run_fig5(
@@ -55,7 +56,7 @@ def run_fig5(
     values = QueryProcessor(shared_suite()).true_values(query)
     population = values.size
     mu = float(values.mean())
-    rng = np.random.default_rng(seed)
+    rng = child_rng(seed)
     z = z_score(delta)
     estimator = SmokescreenMeanEstimator()
 

@@ -18,13 +18,16 @@ removal (fewer than half the frames survive it).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.correction import CorrectionSet
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.trials import run_repair_trials_seeded
-from repro.system.executor import ExecutorConfig, ParallelExecutor
+from repro.system.executor import (
+    ExecutorConfig,
+    ParallelExecutor,
+    SeedKey,
+    child_rng,
+)
 from repro.experiments.workloads import (
     NIGHT_STREET,
     UA_DETRAC,
@@ -54,7 +57,7 @@ def build_correction(
     processor: QueryProcessor,
     workload: Workload,
     fraction: float,
-    rng: np.random.Generator,
+    root: int,
 ) -> CorrectionSet:
     """A correction set of a prescribed fraction (bypassing the heuristic).
 
@@ -62,7 +65,7 @@ def build_correction(
         processor: The query processor.
         workload: The workload the set serves.
         fraction: The set's size as a corpus fraction.
-        rng: Randomness for the underlying sample.
+        root: Root seed; the sample is its root stream.
 
     Returns:
         The correction set (trace contains only the final size).
@@ -70,7 +73,7 @@ def build_correction(
     query = workload.query()
     population = query.dataset.frame_count
     size = max(1, round(population * fraction))
-    sampler = ProgressiveSampler(population, rng)
+    sampler = ProgressiveSampler(population, child_rng(root))
     indices = sampler.prefix(size)
     values = processor.true_values(query)[indices]
     return CorrectionSet(
@@ -141,10 +144,8 @@ def run_fig6(
     workload = Workload(dataset_name, aggregate, frame_count)
     query = workload.query()
     processor = QueryProcessor(shared_suite())
-    rng = np.random.default_rng(seed)
-
     correction = build_correction(
-        processor, workload, CORRECTION_FRACTIONS[(dataset_name, aggregate)], rng
+        processor, workload, CORRECTION_FRACTIONS[(dataset_name, aggregate)], seed
     )
 
     # §5.2.2's exception: UA-DETRAC person removal leaves under half the
@@ -160,12 +161,11 @@ def run_fig6(
     executor = ParallelExecutor(ExecutorConfig(workers=workers))
     for knob in knobs:
         plan = _plan_for(axis, knob, fixed_fraction)
-        # setting_index 0 for every knob: trial t draws the same stream at
-        # each knob, keeping the row's knobs comparable (the legacy loop
-        # re-created the same generator per knob for the same reason).
+        # One key for every knob: trial t draws the same stream at each
+        # knob, keeping the row's knobs comparable.
         summary = run_repair_trials_seeded(
-            processor, query, plan, correction.values, trials, seed + 1,
-            setting_index=0, executor=executor,
+            processor, query, plan, correction.values, trials, seed,
+            setting_index=SeedKey.TRIAL_PER_KNOB, executor=executor,
         )
         series["bound_no_correction"].append(summary.uncorrected_bound)
         series["bound_with_correction"].append(summary.corrected_bound)

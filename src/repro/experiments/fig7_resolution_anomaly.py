@@ -8,18 +8,17 @@ exposes it so an administrator never unknowingly picks the bad setting.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.correction import CorrectionSet
 from repro.detection.zoo import YOLO_ANOMALY_SIDE, yolo_v4_like
 from repro.experiments.reporting import ExperimentResult
-from repro.experiments.trials import run_repair_trials
+from repro.experiments.trials import run_repair_trials_seeded
 from repro.experiments.workloads import NIGHT_STREET, load_dataset, shared_suite
 from repro.interventions.plan import InterventionPlan
 from repro.query.aggregates import Aggregate
 from repro.query.processor import QueryProcessor
 from repro.query.query import AggregateQuery
 from repro.stats.sampling import ProgressiveSampler
+from repro.system.executor import SeedKey, child_rng
 
 
 def run_fig7(
@@ -45,13 +44,11 @@ def run_fig7(
     model = yolo_v4_like()
     query = AggregateQuery(dataset, model, Aggregate.AVG)
     processor = QueryProcessor(shared_suite())
-    rng = np.random.default_rng(seed)
-
     # Build the correction set against *this* query (YOLO on night-street),
     # not the workload default (Mask R-CNN).
     correction_query_values = processor.true_values(query)
     size = max(1, round(dataset.frame_count * correction_fraction))
-    sampler = ProgressiveSampler(dataset.frame_count, rng)
+    sampler = ProgressiveSampler(dataset.frame_count, child_rng(seed))
     indices = sampler.prefix(size)
     correction = CorrectionSet(
         frame_indices=indices,
@@ -70,9 +67,9 @@ def run_fig7(
     }
     for side in sides:
         plan = InterventionPlan.from_knobs(f=0.5, p=side)
-        summary = run_repair_trials(
-            processor, query, plan, correction.values, trials,
-            np.random.default_rng(seed + 1),
+        summary = run_repair_trials_seeded(
+            processor, query, plan, correction.values, trials, seed,
+            setting_index=SeedKey.TRIAL_PER_KNOB,
         )
         series["bound_no_correction"].append(summary.uncorrected_bound)
         series["bound_with_correction"].append(summary.corrected_bound)

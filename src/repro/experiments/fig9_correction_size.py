@@ -11,8 +11,6 @@ every intervention set, so checking each set is unnecessary (§5.2.3).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.correction import CorrectionSet, determine_correction_set
 from repro.core.profiler import DegradationProfiler
 from repro.errors import ConfigurationError
@@ -24,6 +22,7 @@ from repro.interventions.plan import InterventionPlan
 from repro.query.aggregates import Aggregate
 from repro.query.processor import QueryProcessor
 from repro.stats.sampling import ProgressiveSampler
+from repro.system.executor import SeedKey, child_rng
 from repro.video.frame import ObjectClass
 
 #: The two randomly selected representative intervention sets of §5.2.3.
@@ -71,7 +70,9 @@ def run_fig9(
     # not kink the curve.
     sampler_count = max(1, trials // 5)
     samplers = [
-        ProgressiveSampler(population, np.random.default_rng(seed + i))
+        ProgressiveSampler(
+            population, child_rng(seed, SeedKey.CORRECTION_SAMPLER, i)
+        )
         for i in range(sampler_count)
     ]
     full_values = processor.true_values(query)
@@ -97,10 +98,10 @@ def run_fig9(
             own = estimate_values(query, values, population, population)
             own_sum += capped(own.error_bound)
             for index, plan in enumerate(INTERVENTION_SETS):
-                # Unit 0 of root seed + 1 for every call: each correction
-                # set prices the same trial draws, so the curves are paired.
+                # One key for every call: each correction set prices the
+                # same trial draws, so the curves are paired.
                 point = profiler.estimate_plan_seeded(
-                    query, plan, seed + 1, 0, correction
+                    query, plan, seed, SeedKey.TRIAL_PER_KNOB, correction
                 )
                 corrected_sums[index] += capped(point.error_bound)
         series["own_bound"].append(own_sum / sampler_count)
@@ -109,9 +110,7 @@ def run_fig9(
                 corrected_sums[index] / sampler_count
             )
 
-    determined = determine_correction_set(
-        processor, query, np.random.default_rng(seed)
-    )
+    determined = determine_correction_set(processor, query, seed)
     determined_fraction = determined.fraction(population)
 
     return ExperimentResult(

@@ -19,7 +19,6 @@ the root seed — independent of trial order and therefore safe to fan out
 over a :class:`~repro.system.executor.ParallelExecutor` in contiguous
 trial chunks (workers return per-trial arrays; the reduction always runs
 over the full concatenated array, so chunk boundaries are invisible).
-:func:`run_repair_trials` keeps one sequential generator for Figure 7.
 """
 
 from __future__ import annotations
@@ -200,43 +199,6 @@ class RepairTrialSummary:
     true_error: float
 
 
-def run_repair_trials(
-    processor: QueryProcessor,
-    query: AggregateQuery,
-    plan: InterventionPlan,
-    correction_values: np.ndarray,
-    trials: int,
-    rng: np.random.Generator,
-) -> RepairTrialSummary:
-    """Compare the basic and corrected bounds over shared trials.
-
-    Per trial: draw the degraded sample, compute the basic Smokescreen
-    estimate and the Algorithm 3 corrected bound against a *fixed*
-    correction set, and score the estimate's per-trial true error. When the
-    plan is effectively random, the corrected bound reported is the tighter
-    of the two (the §5.2.2 policy).
-
-    Args:
-        processor: The query processor.
-        query: The query.
-        plan: The degradation setting.
-        correction_values: The correction set's values (native resolution).
-        trials: Number of independent sampling trials.
-        rng: Trial randomness.
-
-    Returns:
-        The averaged summary.
-    """
-    uncorrected, corrected, error = _repair_trial_arrays(
-        processor, query, plan, correction_values, [rng] * trials
-    )
-    return RepairTrialSummary(
-        uncorrected_bound=float(uncorrected.mean()),
-        corrected_bound=float(corrected.mean()),
-        true_error=float(error.mean()),
-    )
-
-
 def _repair_trial_arrays(
     processor: QueryProcessor,
     query: AggregateQuery,
@@ -319,7 +281,14 @@ def run_repair_trials_seeded(
     setting_index: int = 0,
     executor: ParallelExecutor | None = None,
 ) -> RepairTrialSummary:
-    """Like :func:`run_repair_trials`, with per-trial seed streams.
+    """Compare the basic and corrected bounds over seeded trials.
+
+    Per trial: draw the degraded sample from ``child_rng(root,
+    setting_index, t)``, compute the basic Smokescreen estimate and the
+    Algorithm 3 corrected bound against a *fixed* correction set, and
+    score the estimate's true error. When the plan is effectively random,
+    the corrected bound reported is the tighter of the two (the §5.2.2
+    policy).
 
     Args:
         processor: The query processor.
@@ -328,8 +297,9 @@ def run_repair_trials_seeded(
         correction_values: The correction set's values (native resolution).
         trials: Number of independent sampling trials.
         root: Root entropy of the seed stream.
-        setting_index: Distinguishes settings sharing one root (e.g. the
-            knobs of a Figure 6 row).
+        setting_index: Distinguishes settings sharing one root; settings
+            that pass the same index (``SeedKey.TRIAL_PER_KNOB`` for the
+            knobs of a figure row) share their trial draws on purpose.
         executor: Execution substrate; defaults to serial.
 
     Returns:

@@ -39,7 +39,6 @@ _EXPORTS = {
     "Administrator": "administrator",
     "BreakerState": "resilience",
     "Camera": "camera",
-    "CameraFleet": "fleet",
     "CameraHealth": "resilience",
     "CameraReport": "fleet",
     "CameraStatus": "fleet",
@@ -50,7 +49,6 @@ _EXPORTS = {
     "FaultInjector": "faults",
     "FaultModel": "faults",
     "FaultyChannel": "faults",
-    "FleetEstimate": "fleet",
     "FleetQueryProcessor": "fleet",
     "FleetReport": "fleet",
     "FleetSentinel": "fleet",
@@ -63,6 +61,7 @@ _EXPORTS = {
     "ParallelExecutor": "executor",
     "PrivacyReport": "privacy",
     "RetryPolicy": "resilience",
+    "SeedKey": "executor",
     "TransmissionModel": "network",
     "child_rng": "executor",
     "child_rngs": "executor",

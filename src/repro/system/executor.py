@@ -53,12 +53,12 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+import enum
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from repro.core.correction import CorrectionSet
 from repro.detection import diskcache
 from repro.detection.zoo import DetectorSuite
 from repro.errors import ConfigurationError
@@ -71,6 +71,9 @@ from repro.system.observe import tracing
 from repro.video.dataset import VideoDataset
 from repro.video.frame import ObjectClass
 from repro.video.geometry import Resolution
+
+if TYPE_CHECKING:
+    from repro.core.correction import CorrectionSet
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -113,8 +116,53 @@ def child_seed(root: RootSeed, *key: int) -> np.random.SeedSequence:
 
 
 def child_rng(root: RootSeed, *key: int) -> np.random.Generator:
-    """A generator over :func:`child_seed`'s stream."""
+    """A generator over :func:`child_seed`'s stream.
+
+    With no key this is the root stream, bit-identical to
+    ``np.random.default_rng(root)`` for an int root.
+    """
     return np.random.default_rng(child_seed(root, *key))
+
+
+#: Table keys sit above every setting, removal and camera index, so a
+#: ``(key, i)`` spawn key never equals a ``(setting, trial)`` one.
+_KEY_BASE = 1 << 31
+
+
+@enum.unique
+class SeedKey(enum.IntEnum):
+    """The named first spawn-key word of every keyed draw below a root.
+
+    An entry point takes an int root. Its one primary draw uses the root
+    stream ``child_rng(root)``; every other draw is
+    ``child_rng(root, SeedKey.X, ...)``. A key reused by several draws
+    shares their randomness on purpose, and its name says which.
+    """
+
+    #: ``Smokescreen.estimate``, then the facade's estimate-call counter.
+    ESTIMATE_CALL = _KEY_BASE
+    #: ``StreamSession.arm``'s Algorithm 3 correction sample.
+    STREAM_CORRECTION = _KEY_BASE + 1
+    #: ``StreamSession.arm``'s clean sample pricing the profiled bound.
+    STREAM_PROFILED = _KEY_BASE + 2
+    #: The chaos sweep's per-camera correction sample, then the camera index.
+    CAMERA_CORRECTION = _KEY_BASE + 3
+    #: Repair or plan trials, one stream per trial shared by every knob
+    #: of a figure row (Figures 6, 7 and 9), then the trial.
+    TRIAL_PER_KNOB = _KEY_BASE + 4
+    #: Figure 9's nested correction samplers, then the sampler index.
+    CORRECTION_SAMPLER = _KEY_BASE + 5
+    #: Figure 10's frame sample, then the video and the trial; shared by
+    #: every size, resolution and access limit.
+    TRIAL_SAMPLE = _KEY_BASE + 6
+    #: Figure 10's correction sample, then the video and the trial;
+    #: shared by every resolution and access limit.
+    TRIAL_CORRECTION = _KEY_BASE + 7
+    #: A chaos sweep trial's fleet-query root, then the trial; shared by
+    #: every outage rate or severity of the sweep.
+    FLEET_TRIAL = _KEY_BASE + 8
+    #: The chaos sweep's fault-stream root, then the outage rate's index.
+    FAULT_RATE = _KEY_BASE + 9
 
 
 # numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``): a pool of

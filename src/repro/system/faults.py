@@ -41,6 +41,7 @@ from repro.errors import (
 )
 from repro.interventions.plan import DegradedSample
 from repro.system.camera import Camera
+from repro.system.executor import RootSeed, normalize_root
 from repro.system.resilience import RetryPolicy
 
 
@@ -152,19 +153,20 @@ class FaultInjector:
     seeds explore independent fault realisations.
     """
 
-    def __init__(self, model: FaultModel, seed: int = 0) -> None:
+    def __init__(self, model: FaultModel, seed: RootSeed = 0) -> None:
         """Create an injector.
 
         Args:
             model: The fault rates to inject.
-            seed: Root seed of every fault stream this injector hands out.
+            seed: Root seed of every fault stream this injector hands out
+                (an int, or a keyed root such as ``(root, key, index)``).
         """
         if not isinstance(model, FaultModel):
             raise FaultInjectionError(
                 f"model must be a FaultModel, got {type(model).__name__}"
             )
         self._model = model
-        self._seed = int(seed)
+        self._seed = normalize_root(seed)
 
     @property
     def model(self) -> FaultModel:
@@ -172,18 +174,24 @@ class FaultInjector:
         return self._model
 
     @property
-    def seed(self) -> int:
-        """The injector's root seed."""
+    def seed(self) -> tuple[int, ...]:
+        """The injector's root seed, as an entropy tuple."""
         return self._seed
 
-    def fault_rng(self, camera_name: str, query_seed: int) -> np.random.Generator:
+    def fault_rng(
+        self, camera_name: str, query_seed: RootSeed
+    ) -> np.random.Generator:
         """The deterministic fault stream for one camera and one query."""
         sequence = np.random.SeedSequence(
-            entropy=(self._seed, _camera_key(camera_name), int(query_seed))
+            entropy=(
+                *self._seed,
+                _camera_key(camera_name),
+                *normalize_root(query_seed),
+            )
         )
         return np.random.default_rng(sequence)
 
-    def channel(self, camera: Camera, query_seed: int) -> "FaultyChannel":
+    def channel(self, camera: Camera, query_seed: RootSeed) -> "FaultyChannel":
         """A fresh faulty channel for one camera's part of one query."""
         return FaultyChannel(
             camera, self._model, self.fault_rng(camera.name, query_seed)

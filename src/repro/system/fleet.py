@@ -18,16 +18,15 @@ and the usual Theorem 3.1 output construction turns that interval into a
 bound-aware answer. Stratification also helps accuracy: between-camera
 variance costs nothing because every camera contributes its exact weight.
 
-Two executors share that combination:
-
-- :class:`CameraFleet` — the happy-path estimator (every camera answers).
-- :class:`FleetQueryProcessor` — the resilient executor: cameras
-  transmit through seeded :class:`~repro.system.faults.FaultyChannel`
-  paths with retry/backoff and per-camera circuit breakers; cameras lost
-  mid-query are excised, the ``delta`` budget is re-split across the
-  survivors (:func:`~repro.estimators.budget.resplit_delta`), and the
-  :class:`FleetReport` records exactly which cameras degraded, which
-  frames were dropped, and the widened-but-valid surviving-fleet bound.
+One executor computes that combination, :class:`FleetQueryProcessor`.
+With no fault model every camera answers over a perfect channel. With
+one, cameras transmit through seeded
+:class:`~repro.system.faults.FaultyChannel` paths with retry/backoff and
+per-camera circuit breakers; cameras lost mid-query are excised, the
+``delta`` budget is re-split across the survivors
+(:func:`~repro.estimators.budget.resplit_delta`), and the
+:class:`FleetReport` records exactly which cameras degraded, which frames
+were dropped, and the widened-but-valid surviving-fleet bound.
 """
 
 from __future__ import annotations
@@ -49,16 +48,15 @@ from repro.estimators.budget import (
     StratumInterval,
     combine_stratum_intervals,
     resplit_delta,
-    split_delta,
 )
 from repro.estimators.sentinel import BoundSentinel, SentinelVerdict
 from repro.estimators.smokescreen import SmokescreenMeanEstimator
-from repro.interventions.plan import DegradedSample, InterventionPlan
+from repro.interventions.plan import DegradedSample
 from repro.query.aggregates import Aggregate
 from repro.query.processor import QueryProcessor
 from repro.query.query import AggregateQuery
 from repro.system.camera import Camera
-from repro.system.executor import ParallelExecutor
+from repro.system.executor import ParallelExecutor, RootSeed, child_rng
 from repro.system.faults import (
     ChannelDelivery,
     FaultInjector,
@@ -120,116 +118,6 @@ def run_camera_values_unit(unit: CameraValuesUnit) -> np.ndarray:
     """Evaluate one camera's sampled values (pool-worker entry point)."""
     processor = QueryProcessor(unit.suite)
     return processor.values_for_sample(unit.query, unit.sample)
-
-
-@dataclass(frozen=True)
-class FleetEstimate:
-    """The combined fleet answer plus its per-camera parts.
-
-    Attributes:
-        combined: The fleet-level bound-aware estimate (AVG across all
-            frames of all cameras).
-        per_camera: Each camera's own estimate, keyed by camera name.
-    """
-
-    combined: Estimate
-    per_camera: dict[str, Estimate]
-
-
-class CameraFleet:
-    """Several cameras answering one frame-level AVG query together."""
-
-    def __init__(self, cameras: list[Camera], processor: QueryProcessor) -> None:
-        """Assemble a fleet.
-
-        Args:
-            cameras: The fleet's cameras (each with its own corpus and
-                currently configured plan); at least one, distinct names,
-                non-empty corpora.
-            processor: The central query processor.
-        """
-        _validate_cameras(cameras)
-        self._cameras = list(cameras)
-        self._processor = processor
-
-    @property
-    def cameras(self) -> list[Camera]:
-        """The fleet's cameras (copy)."""
-        return list(self._cameras)
-
-    @property
-    def total_frames(self) -> int:
-        """Total frames across the fleet (the stratification weights)."""
-        return sum(camera.dataset.frame_count for camera in self._cameras)
-
-    def estimate_mean(
-        self,
-        model_for_camera,
-        rng: np.random.Generator,
-        delta: float = 0.05,
-    ) -> FleetEstimate:
-        """The fleet-wide AVG with a combined guaranteed bound.
-
-        Each camera transmits one degraded pass under its configured plan;
-        its interval is built at ``delta / k`` and the intervals combine by
-        frame-count weights. Cameras whose plans are non-random contribute
-        *uncorrected* intervals — configure cameras with random plans (or
-        repair per camera first) for a trustworthy fleet bound.
-
-        The only randomness consumed is ``rng``'s: re-running with a
-        freshly seeded generator reproduces the estimate bit for bit.
-
-        Args:
-            model_for_camera: Callable mapping a camera to the query
-                detector for its corpus (fleets may mix camera models).
-            rng: Randomness for the per-camera frame samples.
-            delta: Total failure probability, split across cameras.
-
-        Returns:
-            The fleet estimate with per-camera parts.
-        """
-        if not 0.0 < delta < 1.0:
-            raise EstimationError(f"delta must lie in (0, 1), got {delta}")
-        share = split_delta(delta, len(self._cameras))
-        estimator = SmokescreenMeanEstimator()
-
-        per_camera: dict[str, Estimate] = {}
-        strata: list[StratumInterval] = []
-        total = float(self.total_frames)
-        for camera in self._cameras:
-            query = AggregateQuery(
-                camera.dataset, model_for_camera(camera), Aggregate.AVG,
-                delta=share,
-            )
-            sample = camera.transmit(rng)
-            values = self._processor.values_for_sample(query, sample)
-            estimate = estimator.estimate(values, sample.universe_size, share)
-            per_camera[camera.name] = estimate
-            strata.append(
-                StratumInterval(
-                    weight=camera.dataset.frame_count / total,
-                    mean=estimate.value,
-                    lower=estimate.extras["lower"],
-                    upper=estimate.extras["upper"],
-                    n=estimate.n,
-                )
-            )
-
-        combined = combine_stratum_intervals(
-            strata, universe_size=self.total_frames, method="smokescreen-fleet"
-        )
-        return FleetEstimate(combined=combined, per_camera=per_camera)
-
-    def configure_all(
-        self, plan: InterventionPlan
-    ) -> None:
-        """Install one degradation plan on every camera.
-
-        Args:
-            plan: The shared plan (validated per camera's resolution).
-        """
-        for camera in self._cameras:
-            camera.apply_plan(plan)
 
 
 class CameraStatus(enum.Enum):
@@ -506,7 +394,7 @@ class FleetQueryProcessor:
         cameras: list[Camera],
         processor: QueryProcessor,
         faults: FaultModel | None = None,
-        fault_seed: int = 0,
+        fault_seed: RootSeed = 0,
         retry_policy: RetryPolicy | None = None,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
@@ -582,7 +470,7 @@ class FleetQueryProcessor:
         self,
         model_for_camera,
         delta: float = 0.05,
-        seed: int = 0,
+        seed: RootSeed = 0,
     ) -> FleetReport:
         """Run one fleet-wide AVG query, degrading gracefully on failure.
 
@@ -591,7 +479,8 @@ class FleetQueryProcessor:
             delta: Total failure probability of the combined bound.
             seed: Seed for frame sampling, retry jitter, and (together
                 with the construction-time ``fault_seed``) the fault
-                streams; one seed replays the whole query exactly.
+                streams; one seed replays the whole query exactly. An int,
+                or a keyed root such as ``(root, key, trial)``.
 
         Returns:
             The :class:`FleetReport`; its combined interval covers the
@@ -605,7 +494,7 @@ class FleetQueryProcessor:
         if not 0.0 < delta < 1.0:
             raise EstimationError(f"delta must lie in (0, 1), got {delta}")
         with telemetry.span(
-            "fleet.execute", cameras=len(self._cameras), seed=int(seed)
+            "fleet.execute", cameras=len(self._cameras), seed=seed
         ):
             return self._execute_timed(model_for_camera, delta, seed)
 
@@ -655,17 +544,14 @@ class FleetQueryProcessor:
         self,
         model_for_camera,
         delta: float,
-        seed: int,
+        seed: RootSeed,
     ) -> FleetReport:
         """The span-timed body of :meth:`execute`."""
-        root = np.random.SeedSequence(int(seed))
-        camera_sequences = root.spawn(len(self._cameras))
-
         started = self._clock
         deliveries: dict[str, ChannelDelivery] = {}
         partial: dict[str, dict] = {}
-        for camera, sequence in zip(self._cameras, camera_sequences):
-            partial[camera.name] = self._transmit_one(camera, sequence, seed)
+        for index, camera in enumerate(self._cameras):
+            partial[camera.name] = self._transmit_one(camera, index, seed)
             delivery = partial[camera.name]["delivery"]
             if delivery is not None:
                 deliveries[camera.name] = delivery
@@ -802,10 +688,15 @@ class FleetQueryProcessor:
     def _transmit_one(
         self,
         camera: Camera,
-        sequence: np.random.SeedSequence,
-        query_seed: int,
+        index: int,
+        query_seed: RootSeed,
     ) -> dict:
-        """One camera's transmit-with-retry, with breaker and ledger."""
+        """One camera's transmit-with-retry, with breaker and ledger.
+
+        The camera at ``index`` samples frames from ``child_rng(query_seed,
+        index, 0)`` and jitters its retries from ``child_rng(query_seed,
+        index, 1)``.
+        """
         breaker = self._breakers[camera.name]
         health = self._ledger.health(camera.name)
         base = {
@@ -827,9 +718,8 @@ class FleetQueryProcessor:
             )
             return {**base, "reason": "circuit breaker open"}
 
-        sample_sequence, retry_sequence = sequence.spawn(2)
-        sample_rng = np.random.default_rng(sample_sequence)
-        retry_rng = np.random.default_rng(retry_sequence)
+        sample_rng = child_rng(query_seed, index, 0)
+        retry_rng = child_rng(query_seed, index, 1)
         if self._injector is not None:
             channel = self._injector.channel(camera, query_seed)
         else:

@@ -45,7 +45,7 @@ Endpoints (the rows of :data:`ENDPOINTS`; all bodies are JSON):
 ``GET  /traces/<id>``  every retained span event of one trace
 ``POST /estimate``     one degraded query -> estimate + bound (micro-batched)
 ``POST /bound``        same kernel, bound-only response (micro-batched)
-``POST /profile``      degradation hypercube slices (fingerprint-cached)
+``POST /profile``      corrected hypercube slices (fingerprint-cached)
 ``POST /choose``       tradeoff choice over a (cached) profile
 ``POST /stream``       without ``id``: open a hot stream (sentinel armed);
                        with ``id`` and ``values``: ingest a chunk -> check
@@ -108,6 +108,7 @@ from repro.system import shm, telemetry
 from repro.system.executor import (
     ExecutorConfig,
     ParallelExecutor,
+    child_rng,
     pool_diagnostics,
     pool_generation,
     shutdown_pool,
@@ -162,7 +163,6 @@ QUERY = Schema(
     Field("trials", "int", "[1, inf)", 1),
     Field("fraction_step", "float", "(0, 1]", 0.25),
     Field("resolution_count", "int", "[1, inf)", 3),
-    Field("correction", "bool", default=False),
     Field("axis", "name", ("sampling", "resolution", "removal"), "sampling"),
     Field("max_error", "float", "(0, inf)"),
     Field("max_fraction", "float", "(0, 1]"),
@@ -304,7 +304,6 @@ class QueryRequest:
         trials: Profile-path trials per setting.
         fraction_step: Profile-path fraction grid step.
         resolution_count: Profile-path resolution grid size.
-        correction: Whether the profile path builds a correction set.
         axis: Choose-path profile axis.
         max_error: Choose-path public error budget.
         max_fraction: Choose-path fraction ceiling.
@@ -323,7 +322,6 @@ class QueryRequest:
     trials: int = 1
     fraction_step: float = 0.25
     resolution_count: int = 3
-    correction: bool = False
     axis: str = "sampling"
     max_error: float | None = None
     max_fraction: float | None = None
@@ -392,7 +390,6 @@ class QueryRequest:
                 "seed": self.seed,
                 "fraction_step": self.fraction_step,
                 "resolution_count": self.resolution_count,
-                "correction": self.correction,
                 "delta": round(self.delta, 12),
             }
         )
@@ -635,7 +632,7 @@ class ServeSession:
         rows = []
         universe_size = population_size = 0
         for request in requests:
-            rng = np.random.default_rng(request.seed)
+            rng = child_rng(request.seed)
             sample = plan.draw(query.dataset, rng, self._suite)
             rows.append(self._processor.values_for_sample(query, sample))
             universe_size = sample.universe_size
@@ -708,9 +705,10 @@ class ServeSession:
                 workers=self._config.workers,
             )
             query = system.query(Aggregate[request.aggregate.upper()])
-            correction = (
-                system.build_correction_set(query) if request.correction else None
-            )
+            # The resolution and removal slices are non-random, so only
+            # Algorithm 3 bounds them; the sampling slice keeps §5.2.2's
+            # minimum of the basic and corrected bounds.
+            correction = system.build_correction_set(query)
             candidates = system.candidates(
                 fraction_step=request.fraction_step,
                 resolution_count=request.resolution_count,
@@ -840,7 +838,7 @@ class ServeSession:
         stream_id = f"s{self._stream_counter + 1:04d}"
         feed = StreamSession.arm(
             values,
-            np.random.default_rng(knobs["seed"]),
+            knobs["seed"],
             max(2, total // 2),
             delta=knobs["delta"],
             profiled_bound=knobs["profiled_bound"],

@@ -52,6 +52,7 @@ from repro.estimators.streaming import (
 )
 from repro.experiments.workloads import load_dataset, model_for
 from repro.system import telemetry
+from repro.system.executor import SeedKey, child_rng
 from repro.system.observe import ledger as run_ledger
 from repro.system.observe import tracing
 
@@ -282,19 +283,20 @@ class StreamReport:
 
 def price_sample(
     clean: np.ndarray,
-    rng: np.random.Generator,
     delta: float,
+    root: int,
+    *key: int,
     size: int | None = None,
 ) -> Estimate:
-    """Draw (one ``rng.choice``, without replacement) and price a clean
-    sample. The default size is the Algorithm 3 correction set's: 400, or
-    all of a smaller population. A random intervention, so its bound
-    survives any later drift of the degraded stream."""
+    """Draw (one ``choice`` on ``child_rng(root, *key)``, without
+    replacement) and price a clean sample. The default size is the
+    Algorithm 3 correction set's: 400, or all of a smaller population. A
+    random intervention, so its bound survives any later drift of the
+    degraded stream."""
     total = clean.size
     size = min(400, total) if size is None else size
-    return SmokescreenMeanEstimator().estimate(
-        rng.choice(clean, size=size, replace=False), total, delta
-    )
+    sample = child_rng(root, *key).choice(clean, size=size, replace=False)
+    return SmokescreenMeanEstimator().estimate(sample, total, delta)
 
 
 @dataclass(frozen=True)
@@ -329,7 +331,7 @@ class StreamSession:
     def arm(
         cls,
         clean: np.ndarray,
-        rng: np.random.Generator,
+        root: int,
         sample_size: int,
         *,
         delta: float,
@@ -343,11 +345,11 @@ class StreamSession:
     ) -> StreamSession:
         """Arm a feed over a clean population (its size is the universe).
 
-        The exact clean mean is the reference. ``rng`` draws the
-        correction set (:func:`price_sample`), then, only when no
-        ``profiled_bound`` is given, a ``sample_size`` clean sample whose
-        bound becomes the profiled promise. ``window`` is capped at the
-        universe."""
+        The exact clean mean is the reference. ``root`` keys the
+        correction set (:func:`price_sample`, ``SeedKey.STREAM_CORRECTION``)
+        and, only when no ``profiled_bound`` is given, a ``sample_size``
+        clean sample (``SeedKey.STREAM_PROFILED``) whose bound becomes the
+        profiled promise. ``window`` is capped at the universe."""
         total = clean.size
         reference = Estimate(
             value=float(clean.mean()),
@@ -356,9 +358,11 @@ class StreamSession:
             n=total,
             universe_size=total,
         )
-        correction = price_sample(clean, rng, delta)
+        correction = price_sample(clean, delta, root, SeedKey.STREAM_CORRECTION)
         if profiled_bound is None:
-            profiled = price_sample(clean, rng, delta, sample_size)
+            profiled = price_sample(
+                clean, delta, root, SeedKey.STREAM_PROFILED, size=sample_size
+            )
             profiled_bound = float(profiled.error_bound)
         if estimator == "windowed":
             stream = WindowedMeanEstimator(total, min(window, total), delta)
@@ -398,15 +402,16 @@ class StreamSession:
         )
 
 
-def _build_feed(
-    config: StreamConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The replayed value feed, the clean population, and the onset."""
+def _build_feed(config: StreamConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """The replayed value feed, the clean population, and the onset.
+
+    The feed order is the replay's primary draw: the seed's root stream.
+    """
     dataset = load_dataset(config.dataset, config.frames)
     model = model_for(config.dataset)
     clean = model.run(dataset).counts.astype(float)
     total = clean.size
-    order = rng.permutation(total)
+    order = child_rng(config.seed).permutation(total)
     feed = clean[order]
     if config.scenario is None:
         return feed, clean, total
@@ -431,12 +436,11 @@ def replay_stream(config: StreamConfig) -> StreamReport:
         config = dataclasses.replace(
             config, severity=_scenarios()[config.scenario].severities[-1]
         )
-    rng = np.random.default_rng(config.seed)
-    feed, clean, onset_index = _build_feed(config, rng)
+    feed, clean, onset_index = _build_feed(config)
     total = feed.size
     session = StreamSession.arm(
         clean,
-        rng,
+        config.seed,
         max(2, int(round(config.fraction * total))),
         delta=config.delta,
         estimator=config.estimator,

@@ -88,9 +88,7 @@ def _query(aggregate: str):
 def _correction(processor, query):
     from repro.core.correction import determine_correction_set
 
-    return determine_correction_set(
-        processor, query, np.random.default_rng(12345)
-    )
+    return determine_correction_set(processor, query, 12345)
 
 
 def _executor(workers: int):

@@ -90,9 +90,7 @@ class TestResolutionProfiles:
     ):
         """Figure 6's second row: with a correction set, the profiled bound
         at a strong resolution intervention covers the true error."""
-        correction = determine_correction_set(
-            processor, avg_query, np.random.default_rng(1)
-        )
+        correction = determine_correction_set(processor, avg_query, 1)
         profiler = DegradationProfiler(processor, trials=5)
         profile = profiler.profile_resolution_seeded(
             avg_query, (Resolution(192),), ROOT, fraction=0.5, correction=correction
@@ -120,9 +118,7 @@ class TestEstimatePlan:
     def test_random_plan_min_of_bounds(self, processor, avg_query):
         """With a correction set on a random plan, the tighter of the basic
         and corrected bounds is used — never worse than basic alone."""
-        correction = determine_correction_set(
-            processor, avg_query, np.random.default_rng(2)
-        )
+        correction = determine_correction_set(processor, avg_query, 2)
         profiler = DegradationProfiler(processor, trials=1)
         plan = InterventionPlan.from_knobs(f=0.1)
         with_correction = profiler.estimate_plan_seeded(

@@ -105,8 +105,8 @@ class TestHypercubeDifferential:
 
 
 class TestSamplingSweepDifferential:
-    def test_with_correction_set(self, processor, avg_query, rng, monkeypatch):
-        correction = determine_correction_set(processor, avg_query, rng)
+    def test_with_correction_set(self, processor, avg_query, monkeypatch):
+        correction = determine_correction_set(processor, avg_query, 12345)
         profiler = DegradationProfiler(processor, trials=3)
         profile_vec, profile_loop = kernel_and_oracle(
             monkeypatch,
@@ -122,11 +122,11 @@ class TestSamplingSweepDifferential:
         )
 
     def test_random_plan_takes_tighter_corrected_bound(
-        self, processor, detrac_dataset, yolo_car, rng, monkeypatch
+        self, processor, detrac_dataset, yolo_car, monkeypatch
     ):
         # COUNT at small fractions: the corrected bound wins the minimum.
         query = AggregateQuery(detrac_dataset, yolo_car, Aggregate.COUNT)
-        correction = determine_correction_set(processor, query, rng)
+        correction = determine_correction_set(processor, query, 12345)
         profiler = DegradationProfiler(processor, trials=3)
         profile_vec, profile_loop = kernel_and_oracle(
             monkeypatch,
@@ -154,9 +154,7 @@ class TestSamplingSweepDifferential:
         monkeypatch,
     ):
         query = AggregateQuery(detrac_dataset, yolo_car, aggregate)
-        correction = determine_correction_set(
-            processor, query, np.random.default_rng(12345)
-        )
+        correction = determine_correction_set(processor, query, 12345)
         profiler = DegradationProfiler(processor, trials=3)
         profile_vec, profile_loop = kernel_and_oracle(
             monkeypatch,
@@ -213,9 +211,7 @@ class TestPointEstimates:
         query = AggregateQuery(detrac_dataset, yolo_car, aggregate)
         plan = InterventionPlan.from_knobs(f=0.1, **knobs)
         correction = (
-            determine_correction_set(
-                processor, query, np.random.default_rng(12345)
-            )
+            determine_correction_set(processor, query, 12345)
             if corrected
             else None
         )

@@ -17,7 +17,6 @@ pin what that sharing may and may not change:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.candidates import CandidateGrid
@@ -46,7 +45,7 @@ def _grid(query: AggregateQuery) -> CandidateGrid:
 def _setup(processor, dataset, model, aggregate: str, corrected: bool):
     query = AggregateQuery(dataset, model, Aggregate[aggregate])
     correction = (
-        determine_correction_set(processor, query, np.random.default_rng(3))
+        determine_correction_set(processor, query, 3)
         if corrected
         else None
     )

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import EstimationError
 from repro.estimators.repair import ProfileRepair
+from repro.estimators.sentinel import BoundSentinel
 from repro.estimators.smokescreen import SmokescreenMeanEstimator
 from repro.query.aggregates import Aggregate
 
@@ -58,60 +59,79 @@ class TestMeanRepair:
         covers the true error in >= 1 - delta of trials, while the
         uncorrected bound often does not."""
         rng = np.random.default_rng(3)
-        repair = ProfileRepair()
+        estimator = SmokescreenMeanEstimator()
         mu = population.mean()
         corrected_violations = 0
         uncorrected_violations = 0
         trials = 150
         for _ in range(trials):
-            degraded = biased_sample(population, rng, n=800, shrink=0.6)
-            correction = rng.choice(population, size=500, replace=False)
-            result = repair.repair_mean(
-                degraded, population.size, correction, population.size, 0.05
+            degraded_values = biased_sample(population, rng, n=800, shrink=0.6)
+            correction_values = rng.choice(population, size=500, replace=False)
+            degraded = estimator.estimate(degraded_values, population.size, 0.05)
+            correction = estimator.estimate(
+                correction_values, population.size, 0.05
             )
-            true_error = abs(result.value - mu) / mu
-            if true_error > result.error_bound:
+            bound = ProfileRepair.corrected_mean_bound(degraded.value, correction)
+            true_error = abs(degraded.value - mu) / mu
+            if true_error > bound:
                 corrected_violations += 1
-            if true_error > result.uncorrected_bound:
+            if true_error > degraded.error_bound:
                 uncorrected_violations += 1
         assert corrected_violations / trials <= 0.05
         assert uncorrected_violations / trials > 0.5
 
     def test_repaired_value_is_degraded_estimate(self, population):
+        """A sentinel's automatic repair keeps the degraded answer and
+        corrects only its bound (Eq. 12 against the correction set)."""
         rng = np.random.default_rng(4)
-        degraded = biased_sample(population, rng)
-        correction = rng.choice(population, size=300, replace=False)
-        result = ProfileRepair().repair_mean(
-            degraded, population.size, correction, population.size, 0.05
+        estimator = SmokescreenMeanEstimator()
+        correction = estimator.estimate(
+            rng.choice(population, size=300, replace=False),
+            population.size,
+            0.05,
         )
-        assert result.value == result.degraded.value
+        reference = estimator.estimate(population, population.size, 0.05)
+        sentinel = BoundSentinel(
+            reference, 0.0, population.size, correction=correction
+        )
+        sentinel.extend(biased_sample(population, rng))
+        sentinel.extend(biased_sample(population, rng))
+        repair = sentinel.repair
+        assert sentinel.tripped and repair is not None
+        assert repair.value == repair.degraded.value
+        assert repair.correction is correction
+        assert repair.error_bound == ProfileRepair.corrected_mean_bound(
+            repair.value, correction
+        )
 
 
 class TestQuantileRepair:
     def test_repair_covers_biased_quantiles(self, population):
+        from repro.estimators.quantile import SmokescreenQuantileEstimator
+        from repro.stats.quantiles import relative_rank_error
+
         rng = np.random.default_rng(5)
-        repair = ProfileRepair()
+        estimator = SmokescreenQuantileEstimator()
         r, delta = 0.99, 0.05
         ordered = np.sort(population)
         true_quantile = ordered[int(population.size * r)]
         violations = 0
         trials = 120
-        from repro.stats.quantiles import relative_rank_error
-
         for _ in range(trials):
-            degraded = biased_sample(population, rng, n=800, shrink=0.7)
-            correction = rng.choice(population, size=600, replace=False)
-            result = repair.repair_quantile(
-                degraded,
-                population.size,
-                correction,
-                population.size,
-                r,
-                delta,
-                Aggregate.MAX,
+            degraded_values = biased_sample(population, rng, n=800, shrink=0.7)
+            correction_values = rng.choice(population, size=600, replace=False)
+            degraded = estimator.estimate(
+                degraded_values, population.size, r, delta, Aggregate.MAX
             )
-            error = relative_rank_error(population, result.value, true_quantile)
-            if error > result.error_bound:
+            correction = estimator.estimate(
+                correction_values, population.size, r, delta, Aggregate.MAX
+            )
+            bound = ProfileRepair.corrected_quantile_bound(
+                degraded.value, correction.value, correction_values, r,
+                correction,
+            )
+            error = relative_rank_error(population, degraded.value, true_quantile)
+            if error > bound:
                 violations += 1
         assert violations / trials <= delta + 0.03
 

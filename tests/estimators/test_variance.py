@@ -161,9 +161,7 @@ class TestVarDispatch:
         from repro.query import Aggregate, AggregateQuery
 
         query = AggregateQuery(detrac_dataset, yolo_car, Aggregate.VAR)
-        correction = determine_correction_set(
-            processor, query, np.random.default_rng(7)
-        )
+        correction = determine_correction_set(processor, query, 7)
         profiler = DegradationProfiler(processor, trials=2)
         profile = profiler.profile_sampling_seeded(
             query, (0.3, 0.6, 0.9), 12345, correction=correction

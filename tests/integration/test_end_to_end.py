@@ -80,15 +80,14 @@ class TestBoundValidityEndToEnd:
     def test_repair_coverage_under_removal(self, system):
         """Removal biases the universe; the repaired profile bound covers
         the per-trial errors."""
-        from repro.experiments.trials import run_repair_trials
+        from repro.experiments.trials import run_repair_trials_seeded
 
         query = system.query(Aggregate.AVG)
         processor = system.processor
-        correction_rng = np.random.default_rng(4)
         correction = system.build_correction_set(query)
         plan = InterventionPlan.from_knobs(f=0.3, c=(ObjectClass.PERSON,))
-        summary = run_repair_trials(
-            processor, query, plan, correction.values, 30, correction_rng
+        summary = run_repair_trials_seeded(
+            processor, query, plan, correction.values, 30, 4
         )
         assert summary.corrected_bound >= summary.true_error
 
@@ -111,7 +110,7 @@ class TestCrossDatasetConsistency:
 
 class TestExtensionInterventions:
     def test_noise_plan_biases_outputs_and_repair_covers(self, system):
-        from repro.experiments.trials import run_repair_trials
+        from repro.experiments.trials import run_repair_trials_seeded
         from repro.interventions import FrameSampling, NoiseAddition
 
         query = system.query(Aggregate.AVG)
@@ -121,8 +120,8 @@ class TestExtensionInterventions:
         )
         assert not plan.is_random_for(query.dataset)
         correction = system.build_correction_set(query)
-        summary = run_repair_trials(
-            processor, query, plan, correction.values, 20, np.random.default_rng(6)
+        summary = run_repair_trials_seeded(
+            processor, query, plan, correction.values, 20, 6
         )
         # Noise suppresses detections systematically...
         assert summary.true_error > 0.05

@@ -158,23 +158,25 @@ class TestAdversarialCorrectionSets:
     ):
         """A 5-frame correction set cannot repair much — the corrected
         bound must be huge (or infinite), never confidently wrong."""
-        from repro.estimators import ProfileRepair
+        from repro.estimators.dispatch import corrected_bounds, estimate_batch
+        from repro.stats.prefix_moments import PrefixMoments
 
         query = AggregateQuery(detrac_dataset, yolo_car, Aggregate.AVG)
         degraded = processor.execute(
             query, InterventionPlan.from_knobs(f=0.3, p=128), rng
         )
         tiny = processor.true_values(query)[:5]
-        result = ProfileRepair().repair_mean(
-            degraded.values,
+        batch = estimate_batch(
+            query,
+            PrefixMoments(degraded.values[None, :]),
+            (degraded.values.size,),
             degraded.universe_size,
-            tiny,
             detrac_dataset.frame_count,
-            0.05,
         )
+        bound = corrected_bounds(query, batch, tiny, plan_is_random=False)
         truth = processor.true_answer(query)
-        true_error = abs(result.value - truth) / truth
-        assert result.error_bound >= true_error
+        true_error = abs(batch.values[0, 0] - truth) / truth
+        assert bound[0, 0] >= true_error
 
     def test_constant_correction_set_certifies_only_itself(self):
         """A constant correction set claims zero uncertainty about its own

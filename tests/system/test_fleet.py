@@ -7,10 +7,9 @@ import pytest
 
 from repro.detection import mask_rcnn_like, yolo_v4_like
 from repro.errors import ConfigurationError, EstimationError, TransmissionError
-from repro.interventions import InterventionPlan
 from repro.system.camera import Camera
 from repro.system.faults import FaultModel
-from repro.system.fleet import CameraFleet, CameraStatus, FleetQueryProcessor
+from repro.system.fleet import CameraStatus, FleetQueryProcessor
 from repro.system.resilience import BreakerState, RetryPolicy
 from repro.video import night_street, ua_detrac
 
@@ -38,55 +37,64 @@ def model_for(camera):
 class TestConstruction:
     def test_rejects_empty_fleet(self, processor):
         with pytest.raises(ConfigurationError):
-            CameraFleet([], processor)
+            FleetQueryProcessor([], processor)
 
     def test_rejects_duplicate_names(self, fleet_parts, processor, suite):
         downtown, _ = fleet_parts
         clone = Camera("downtown", downtown.dataset, suite)
         with pytest.raises(ConfigurationError):
-            CameraFleet([downtown, clone], processor)
+            FleetQueryProcessor([downtown, clone], processor)
 
     def test_total_frames(self, fleet_parts, processor):
-        fleet = CameraFleet(list(fleet_parts), processor)
+        fleet = FleetQueryProcessor(list(fleet_parts), processor)
         assert fleet.total_frames == 3500
 
     def test_rejects_empty_dataset_camera(self, fleet_parts, processor, suite):
         downtown, _ = fleet_parts
         dead = Camera("dead", _EmptyDataset(), suite)
         with pytest.raises(ConfigurationError, match="empty dataset"):
-            CameraFleet([downtown, dead], processor)
-        with pytest.raises(ConfigurationError, match="empty dataset"):
             FleetQueryProcessor([downtown, dead], processor)
 
     def test_resilient_processor_shares_fleet_validation(self, processor):
-        with pytest.raises(ConfigurationError):
-            FleetQueryProcessor([], processor)
+        """Fault injection, retries and breakers change nothing about the
+        eager checks: a faulty fleet is validated like a fault-free one."""
+        with pytest.raises(ConfigurationError, match="at least one camera"):
+            FleetQueryProcessor(
+                [],
+                processor,
+                faults=FaultModel(outage_probability=0.5),
+                retry_policy=RetryPolicy(),
+            )
 
 
 class TestFleetEstimate:
-    def test_combined_answer_and_per_camera_parts(self, fleet_parts, processor, rng):
-        fleet = CameraFleet(list(fleet_parts), processor)
-        result = fleet.estimate_mean(model_for, rng)
-        assert set(result.per_camera) == {"downtown", "suburb"}
-        assert result.combined.method == "smokescreen-fleet"
-        assert result.combined.universe_size == 3500
+    """The fault-free fleet: every camera answers over a perfect channel."""
 
-    def test_combined_interval_is_weighted(self, fleet_parts, processor, rng):
-        fleet = CameraFleet(list(fleet_parts), processor)
-        result = fleet.estimate_mean(model_for, rng)
+    def test_combined_answer_and_per_camera_parts(self, fleet_parts, processor):
+        fleet = FleetQueryProcessor(list(fleet_parts), processor)
+        report = fleet.execute(model_for, seed=0)
+        assert set(report.per_camera) == {"downtown", "suburb"}
+        assert report.combined.method == "smokescreen-fleet-resilient"
+        assert report.combined.universe_size == 3500
+
+    def test_combined_interval_is_weighted(self, fleet_parts, processor):
+        fleet = FleetQueryProcessor(list(fleet_parts), processor)
+        report = fleet.execute(model_for, seed=0)
         weights = {
             camera.name: camera.dataset.frame_count / fleet.total_frames
             for camera in fleet.cameras
         }
         expected_upper = sum(
-            weights[name] * estimate.extras["upper"]
-            for name, estimate in result.per_camera.items()
+            weights[name] * camera.estimate.extras["upper"]
+            for name, camera in report.per_camera.items()
         )
-        assert result.combined.extras["upper"] == pytest.approx(expected_upper)
+        assert report.combined.extras["upper"] == pytest.approx(expected_upper)
+        for name, camera in report.per_camera.items():
+            assert camera.weight == pytest.approx(weights[name])
 
     def test_combined_bound_covers_fleet_truth(self, fleet_parts, processor):
         """Empirical coverage of the union-budget combination."""
-        fleet = CameraFleet(list(fleet_parts), processor)
+        fleet = FleetQueryProcessor(list(fleet_parts), processor)
         truths = []
         for camera in fleet.cameras:
             counts = model_for(camera).run(camera.dataset).counts
@@ -96,51 +104,47 @@ class TestFleetEstimate:
 
         violations = 0
         trials = 60
-        rng = np.random.default_rng(9)
-        for _ in range(trials):
-            result = fleet.estimate_mean(model_for, rng)
-            error = abs(result.combined.value - fleet_truth) / fleet_truth
-            if error > result.combined.error_bound:
+        for seed in range(trials):
+            report = fleet.execute(model_for, seed=seed)
+            error = abs(report.combined.value - fleet_truth) / fleet_truth
+            if error > report.combined.error_bound:
                 violations += 1
         assert violations / trials <= 0.05
 
-    def test_per_camera_budget_split(self, fleet_parts, processor, rng):
-        """Per-camera intervals use delta/k, so each is wider than a
-        standalone delta interval would be."""
+    def test_per_camera_budget_split(self, fleet_parts, processor):
+        """Per-camera intervals use delta/k; a solo camera spends all of
+        delta on the same sample size."""
         downtown, suburb = fleet_parts
-        fleet = CameraFleet([downtown, suburb], processor)
-        result = fleet.estimate_mean(model_for, rng, delta=0.05)
-        solo_fleet = CameraFleet([downtown], processor)
-        solo = solo_fleet.estimate_mean(model_for, rng, delta=0.05)
-        # Same camera, same delta, but the two-camera run budgets 0.025:
-        # its per-camera bound is looser or equal on average. (Different
-        # random draws, so compare the deterministic radius via repeated
-        # trials would be noisy; check the budget is applied instead.)
-        assert result.per_camera["downtown"].n == solo.per_camera["downtown"].n
+        pair = FleetQueryProcessor([downtown, suburb], processor)
+        report = pair.execute(model_for, delta=0.05, seed=3)
+        solo = FleetQueryProcessor([downtown], processor).execute(
+            model_for, delta=0.05, seed=3
+        )
+        assert report.share == pytest.approx(0.025)
+        assert solo.share == pytest.approx(0.05)
+        assert solo.combined.universe_size == downtown.dataset.frame_count
+        assert (
+            report.per_camera["downtown"].estimate.n
+            == solo.per_camera["downtown"].estimate.n
+        )
 
-    def test_rejects_bad_delta(self, fleet_parts, processor, rng):
-        fleet = CameraFleet(list(fleet_parts), processor)
+    def test_rejects_bad_delta(self, fleet_parts, processor):
+        fleet = FleetQueryProcessor(list(fleet_parts), processor)
         with pytest.raises(EstimationError):
-            fleet.estimate_mean(model_for, rng, delta=0.0)
-
-    def test_configure_all(self, fleet_parts, processor):
-        fleet = CameraFleet(list(fleet_parts), processor)
-        plan = InterventionPlan.from_knobs(f=0.1)
-        fleet.configure_all(plan)
-        for camera in fleet.cameras:
-            assert camera.plan is plan
+            fleet.execute(model_for, delta=0.0, seed=0)
 
     def test_same_seed_is_bit_identical(self, fleet_parts, processor):
-        """Fleet execution consumes only the passed generator: repeated
-        runs from freshly seeded generators match bit for bit (no
-        module-level RNG anywhere in repro.system)."""
-        fleet = CameraFleet(list(fleet_parts), processor)
-        first = fleet.estimate_mean(model_for, np.random.default_rng(42))
-        second = fleet.estimate_mean(model_for, np.random.default_rng(42))
-        assert first.combined.value == second.combined.value
-        assert first.combined.error_bound == second.combined.error_bound
-        for name in first.per_camera:
-            assert first.per_camera[name] == second.per_camera[name]
+        """Fleet execution draws only from its seed: fresh processors
+        given one seed match bit for bit (no module-level RNG anywhere in
+        repro.system)."""
+        first, second = (
+            FleetQueryProcessor(list(fleet_parts), processor).execute(
+                model_for, seed=42
+            )
+            for _ in range(2)
+        )
+        assert first.combined == second.combined
+        assert first.per_camera == second.per_camera
 
 
 @pytest.fixture(scope="module")

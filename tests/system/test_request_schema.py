@@ -251,7 +251,14 @@ def test_defaults_fill_missing_and_null_fields():
     )
     assert request.fraction is None
     assert request.delta == 0.1 and request.dataset == "ua-detrac"
-    assert request.correction is False and request.seed == 0
+    assert request.seed == 0
+
+
+def test_profile_correction_is_not_a_field():
+    """A profile always builds its correction set, so the old switch is
+    an unknown field."""
+    with pytest.raises(RequestError, match="unknown field.*'correction'"):
+        QueryRequest.from_payload("profile", {"correction": True}, ServeConfig())
 
 
 class TestListedInputsAreRefused:

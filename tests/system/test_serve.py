@@ -982,6 +982,50 @@ class TestBudgetValidation:
             ServeConfig(datasets=("ua-detrac",), **overrides)
 
 
+class TestProfileCorrection:
+    """``/profile`` always builds its correction set (Algorithm 3)."""
+
+    def test_no_slice_below_the_corrected_bound(self):
+        from repro.core.correction import determine_correction_set
+
+        session = ServeSession(
+            ServeConfig(datasets=("ua-detrac",), frames=FRAMES, workers=1)
+        )
+        try:
+            request = QueryRequest.from_payload(
+                "profile", {"trials": 2, "seed": 5}, session.config
+            )
+            body = session.profile_request(request)
+        finally:
+            session.shutdown()
+        dataset = load_dataset("ua-detrac", FRAMES)
+        query = AggregateQuery(
+            dataset, model_for("ua-detrac"), Aggregate.AVG,
+            delta=session.config.delta,
+        )
+        correction = determine_correction_set(QueryProcessor(), query, 5)
+        # Equation 12 is (1 + err_v) * drift + err_v >= err_v, so every
+        # non-random setting is bounded by at least the set's own bound.
+        slices = body["slices"]
+        native = dataset.native_resolution.side
+        non_random = [
+            bound
+            for knob, bound in zip(
+                slices["resolution"]["knobs"],
+                slices["resolution"]["error_bounds"],
+            )
+            if float(knob) < native
+        ] + [
+            bound
+            for knob, bound in zip(
+                slices["removal"]["knobs"], slices["removal"]["error_bounds"]
+            )
+            if knob != "none"
+        ]
+        assert len(non_random) == 5
+        assert min(non_random) >= correction.error_bound > 0.0
+
+
 class TestHotStreams:
     """Session-level /stream semantics without the HTTP layer."""
 

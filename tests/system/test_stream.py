@@ -79,44 +79,64 @@ class TestCleanReplay:
         assert payload["repaired_bound"] is None
 
 
+#: Replay seeds of the hostile configurations. Whether one replay trips
+#: rides on its profiled sample: Algorithm 1 prices that sample with its
+#: own range, so the profiled bound sits near 0.18 when the sample misses
+#: the corpus's largest count and near 0.25 when it holds it. Recall is
+#: therefore asserted as a trip rate over these seeds, and the trip-path
+#: checks run on every replay that trips.
+SEEDS = range(100)
+
+
 class TestHostileReplay:
+    """Weather at near-whiteout severity takes over at half-feed."""
+
     @pytest.fixture(scope="class")
     def replayed(self):
-        run_ledger.begin_run("stream-test", {}, None)
-        report = replay_stream(
-            StreamConfig(frames=FRAMES, scenario="weather", severity=0.95)
-        )
-        record = run_ledger.finish_run("ok", 0)
-        return report, record
+        replays = []
+        for seed in SEEDS:
+            run_ledger.begin_run("stream-test", {}, None)
+            report = replay_stream(
+                StreamConfig(
+                    frames=FRAMES, scenario="weather", severity=0.95, seed=seed
+                )
+            )
+            replays.append((report, run_ledger.finish_run("ok", 0)))
+        return replays
 
     @pytest.fixture
-    def report(self, replayed):
-        return replayed[0]
+    def tripped(self, replayed):
+        return [report for report, _ in replayed if report.verdict.tripped]
 
-    def test_sentinel_trips_after_onset(self, report):
-        assert report.verdict.tripped
-        assert report.verdict.first_breach_count > report.onset_index
-        assert report.violations >= report.config.patience
-        assert report.repairs == 1
-        assert report.verdict.repair.error_bound > 0.0
+    def test_sentinel_trips_after_onset(self, tripped):
+        # A marginal drift for the windowed sentinel: 13 of these seeds
+        # trip. Were the profiled bound always in its upper mode, ~1 would.
+        assert len(tripped) >= 10
+        for report in tripped:
+            assert report.verdict.first_breach_count > report.onset_index
+            assert report.violations >= report.config.patience
+            assert report.repairs == 1
+            assert report.verdict.repair.error_bound > 0.0
 
-    def test_windows_trace_the_takeover(self, report):
-        pre = [w for w in report.windows if w.end <= report.onset_index]
-        assert pre and not any(w.breached for w in pre)
-        assert any(w.breached for w in report.windows)
-        assert report.windows[-1].tripped
+    def test_windows_trace_the_takeover(self, replayed, tripped):
+        for report, _ in replayed:
+            pre = [w for w in report.windows if w.end <= report.onset_index]
+            assert pre and not any(w.breached for w in pre)
+        for report in tripped:
+            assert any(w.breached for w in report.windows)
+            assert report.windows[-1].tripped
 
     def test_facts_and_events_reach_the_ledger(self, replayed):
-        report, record = replayed
-        facts = record["facts"]["stream"]
-        assert facts["tripped"] is True
-        assert facts["repairs"] == 1
-        assert facts["scenario"] == "weather"
-        assert facts["severity"] == 0.95
-        kinds = [event["event"] for event in record["events"]]
-        assert kinds.count("stream.window") == len(report.windows)
-        assert "sentinel.violation" in kinds
-        assert "sentinel.repair" in kinds
+        for report, record in replayed:
+            facts = record["facts"]["stream"]
+            assert facts["tripped"] is report.verdict.tripped
+            assert facts["repairs"] == report.repairs
+            assert facts["scenario"] == "weather"
+            assert facts["severity"] == 0.95
+            kinds = [event["event"] for event in record["events"]]
+            assert kinds.count("stream.window") == len(report.windows)
+            assert ("sentinel.violation" in kinds) is report.verdict.tripped
+            assert ("sentinel.repair" in kinds) is report.verdict.tripped
 
     def test_severity_defaults_to_harshest(self):
         config = replay_stream(
@@ -129,16 +149,24 @@ class TestHostileReplay:
 
 class TestEstimatorVariants:
     def test_decayed_estimator_trips_on_occlusion(self):
-        report = replay_stream(
-            StreamConfig(
-                frames=FRAMES,
-                scenario="occlusion",
-                severity=0.7,
-                estimator="decayed",
+        # 71 of these seeds trip. Were the profiled bound always in its
+        # upper mode, ~48 would.
+        reports = [
+            replay_stream(
+                StreamConfig(
+                    frames=FRAMES,
+                    scenario="occlusion",
+                    severity=0.7,
+                    estimator="decayed",
+                    seed=seed,
+                )
             )
-        )
-        assert report.verdict.tripped
-        assert report.repairs == 1
+            for seed in SEEDS
+        ]
+        tripped = [report for report in reports if report.verdict.tripped]
+        assert len(tripped) >= 60
+        for report in reports:
+            assert report.repairs == (1 if report.verdict.tripped else 0)
 
     def test_cumulative_estimator_is_diluted(self):
         """The failure mode motivating the windowed default: the all-time

@@ -472,10 +472,24 @@ class TestStreamCommand:
     def test_stream_replay_records_facts_and_prints_table(
         self, tmp_path, capsys
     ):
+        from repro.system.stream import StreamConfig, replay_stream
+
+        # Weather at 0.95 trips on about one replay seed in eight
+        # (tests/system/test_stream.py checks the rate); replay the first
+        # seed that trips to see what the command prints and records.
+        seed = next(
+            seed for seed in range(100)
+            if replay_stream(
+                StreamConfig(
+                    frames=2000, scenario="weather", severity=0.95, seed=seed
+                )
+            ).verdict.tripped
+        )
         ledger = tmp_path / "stream.jsonl"
         code = main([
             "stream", "--scenario", "weather", "--severity", "0.95",
-            "--frames", "2000", "--run-ledger", str(ledger),
+            "--frames", "2000", "--seed", str(seed),
+            "--run-ledger", str(ledger),
         ])
         assert code == 0
         out = capsys.readouterr().out
